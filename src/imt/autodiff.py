@@ -19,6 +19,7 @@ recorded outputs bitwise (all primitives are pure).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 from typing import Callable
@@ -224,7 +225,7 @@ def backward(
     grads: dict[int, Variable] = {
         out.nid: constant(np.ones(np.shape(out.value), dtype=out.value.dtype))
     }
-    ctx = no_recording() if not create_graph else _nullcontext()
+    ctx = no_recording() if not create_graph else contextlib.nullcontext()
     with ctx:
         for rec in reversed(records):
             g = grads.pop(rec.out.nid, None)
@@ -249,14 +250,6 @@ def backward(
                     "non-finite gradient", where=v.name or f"leaf#{v.nid}"
                 )
     return result
-
-
-class _nullcontext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 # ---------------------------------------------------------------------------

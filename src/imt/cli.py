@@ -21,6 +21,7 @@ import numpy as np
 
 from . import baseline, metrics, network, phantom, training
 from .config import load_run_config
+from .container import atomic_write
 from .errors import (
     BaselineError,
     CheckpointMismatchError,
@@ -59,18 +60,6 @@ def worker_count() -> int:
     if value < 1:
         raise ConfigError(f"IMT_THREADS must be >= 1, got {value}")
     return min(value, hw)
-
-
-def _atomic_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, "utf-8")
-    os.replace(tmp, path)
-
-
-def _num(x: float):
-    # JSON has no inf/nan literals; serialize them as strings
-    return float(x) if np.isfinite(x) else repr(float(x))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,18 +199,18 @@ def cmd_report(args) -> int:
         entry: dict = {}
         if want_ttest:
             t = metrics.paired_t_test(va, vb)
-            entry["t_test"] = {"t": _num(t.t), "p": _num(t.p)}
+            entry["t_test"] = {"t": metrics._json_num(t.t), "p": metrics._json_num(t.p)}
         if want_icc:
             value = metrics.icc_two_way_single(np.column_stack([va, vb]))
             entry["icc"] = {
-                "value": _num(value),
+                "value": metrics._json_num(value),
                 "interpretation": metrics.icc_interpretation(value),
             }
         ba = metrics.bland_altman(va, vb)
         entry["bland_altman"] = {
-            "mean_diff": _num(ba.mean_diff),
-            "loa_low": _num(ba.loa_low),
-            "loa_high": _num(ba.loa_high),
+            "mean_diff": metrics._json_num(ba.mean_diff),
+            "loa_low": metrics._json_num(ba.loa_low),
+            "loa_high": metrics._json_num(ba.loa_high),
         }
         doc["criteria"][crit] = entry
         for case, (mean, diff) in zip(cases, ba.points):
@@ -229,9 +218,10 @@ def cmd_report(args) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if args.json:
-        _atomic_text(args.json, text + "\n")
+        atomic_write(args.json, (text + "\n").encode("utf-8"))
     if args.bland_altman:
-        _atomic_text(args.bland_altman, "criterion,case_id,mean,diff\n" + "\n".join(ba_rows) + "\n")
+        rows = "criterion,case_id,mean,diff\n" + "\n".join(ba_rows) + "\n"
+        atomic_write(args.bland_altman, rows.encode("utf-8"))
     return EXIT_OK
 
 

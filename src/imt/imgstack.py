@@ -11,13 +11,13 @@ export, and the IMTS binary file format.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .container import atomic_write
 from .errors import (
     DegenerateInputError,
     FormatError,
@@ -249,16 +249,9 @@ def write_pgm_slices(stack: ComplexImageStack, out_stem: str | Path) -> list[Pat
         path = stem.parent / f"{stem.name}_s{s}.pgm"
         header = f"P5\n{stack.width} {stack.height}\n65535\n".encode("ascii")
         payload = u16[s].astype(">u2").tobytes()
-        _atomic_write(path, header + payload)
+        atomic_write(path, header + payload)
         paths.append(path)
     return paths
-
-
-def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 
 def _encode_header(s: int, h: int, w: int, dtype_flag: int) -> bytes:
@@ -269,14 +262,14 @@ def save_stack(stack: ComplexImageStack, path: str | Path) -> None:
     """Write a stack to an IMTS file (complex payload, dtype flag 0)."""
     header = _encode_header(stack.slices, stack.height, stack.width, _DTYPE_COMPLEX)
     payload = stack.data.astype("<c8").tobytes()
-    _atomic_write(Path(path), header + payload)
+    atomic_write(path, header + payload)
 
 
 def save_gmap(gmap: GFactorMap, path: str | Path) -> None:
     """Write a g-factor map to an IMTS file (real payload, S=1, dtype flag 1)."""
     header = _encode_header(1, gmap.height, gmap.width, _DTYPE_REAL)
     payload = gmap.values.astype("<f4").tobytes()
-    _atomic_write(Path(path), header + payload)
+    atomic_write(path, header + payload)
 
 
 def _read_header(raw: bytes, path: Path) -> tuple[int, int, int, int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -20,6 +19,7 @@ import numpy as np
 from scipy.signal import correlate
 from scipy.stats import t as student_t
 
+from .container import atomic_write
 from .errors import DegenerateInputError, FormatError, InvalidInputError
 from .imgstack import ComplexImageStack
 
@@ -286,7 +286,9 @@ def build_report(entries) -> MetricsReport:
 
 
 def _json_num(x: float):
-    # JSON has no inf/nan literals; use strings rather than fake numbers
+    # JSON has no inf/nan literals; use strings rather than fake numbers.
+    # float() turns numpy scalars into plain floats, so repr gives 'inf'.
+    x = float(x)
     return x if math.isfinite(x) else repr(x)
 
 
@@ -310,10 +312,7 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def write_report(report: MetricsReport, path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(report_to_json(report) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, (report_to_json(report) + "\n").encode("utf-8"))
 
 
 def load_report(path) -> dict:
@@ -392,10 +391,7 @@ def read_rater_csv(path) -> list:
 
 
 def write_rater_csv(scores, path) -> None:
-    path = Path(path)
     rows = [",".join(RATER_COLUMNS)]
     for s in scores:
         rows.append(f"{s.case_id},{s.rater_id},{s.noise},{s.sharpness},{s.detail},{s.overall}")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(rows) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, ("\n".join(rows) + "\n").encode("utf-8"))

@@ -15,22 +15,18 @@ check runs it in float64).
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .errors import (
     CheckpointMismatchError,
     FormatError,
     InvalidInputError,
     NumericalFailureError,
-    TruncationError,
 )
 from .imgstack import ComplexImageStack
 
@@ -374,6 +370,31 @@ def _pad_to_window(x, w):
     return x
 
 
+def _embed(z, pv, cfg):
+    """Token grid (B, T, H', W', C) of a complex (B, T, H, W) Variable.
+
+    Reflect-pads H and W up to window*patch multiples, patchifies, projects,
+    and adds the in-window position bias and the per-slice bias.
+    """
+    b, t, h, w = z.shape
+    wp = cfg.window * cfg.patch
+    ph, pw = (-h) % wp, (-w) % wp
+    if (h + ph) * (w + pw) * t * b * cfg.channels > _MAX_GRID_ELEMENTS:
+        raise InvalidInputError("dimension overflow after padding")
+    if ph or pw:
+        z = ad.reflect_pad2d(z, ((0, ph), (0, pw)), axes=(2, 3))
+    x = _patchify(ad.complex_split(z, ch_axis=-1), cfg.patch)
+    x = _linear(x, pv["embed.weight"], pv["embed.bias"])
+    _, _, hg, wg, c = x.shape
+    wdw = cfg.window
+    pos = ad.reshape(pv["embed.pos_bias"], (1, 1, 1, wdw, 1, wdw, c))
+    x = ad.reshape(x, (b, t, hg // wdw, wdw, wg // wdw, wdw, c))
+    x = ad.add(x, pos)
+    x = ad.reshape(x, (b, t, hg, wg, c))
+    sbias = ad.gather(pv["embed.slice_bias"], np.arange(t), axis=0)
+    return ad.add(x, ad.reshape(sbias, (1, t, 1, 1, c)))
+
+
 def forward_graph(
     z: ad.Variable,
     pv: dict[str, ad.Variable],
@@ -389,28 +410,14 @@ def forward_graph(
     the losses. ``stats`` collects per-norm batch statistics in train mode;
     ``probe`` collects attention probabilities by unit name.
     """
-    b, t, h, w = z.shape
+    _, t, h, w = z.shape
     if t > cfg.slice_depth:
         raise InvalidInputError(
             f"chunk depth {t} exceeds slice_depth {cfg.slice_depth}"
         )
-    wp = cfg.window * cfg.patch
-    ph, pw = (-h) % wp, (-w) % wp
-    if (h + ph) * (w + pw) * t * b * cfg.channels > _MAX_GRID_ELEMENTS:
-        raise InvalidInputError("dimension overflow after padding")
-    zp = ad.reflect_pad2d(z, ((0, ph), (0, pw)), axes=(2, 3)) if (ph or pw) else z
+    x = _embed(z, pv, cfg)
     x2 = ad.complex_split(z, ch_axis=-1)
-    x = ad.complex_split(zp, ch_axis=-1)
-    x = _patchify(x, cfg.patch)
-    x = _linear(x, pv["embed.weight"], pv["embed.bias"])
     hg, wg = x.shape[2], x.shape[3]
-    wdw = cfg.window
-    pos = ad.reshape(pv["embed.pos_bias"], (1, 1, 1, wdw, 1, wdw, cfg.channels))
-    x = ad.reshape(x, (b, t, hg // wdw, wdw, wg // wdw, wdw, cfg.channels))
-    x = ad.add(x, pos)
-    x = ad.reshape(x, (b, t, hg, wg, cfg.channels))
-    sbias = ad.gather(pv["embed.slice_bias"], np.arange(t), axis=0)
-    x = ad.add(x, ad.reshape(sbias, (1, t, 1, 1, cfg.channels)))
 
     for i in range(cfg.cells_per_block):
         name = f"stage1.cell{i}"
@@ -426,7 +433,7 @@ def forward_graph(
     low = ad.subsample2d(x, 2, axes=(2, 3))
     low = _linear(low, pv["stage2.down.weight"], pv["stage2.down.bias"])
     hs, ws = low.shape[2], low.shape[3]
-    low = _pad_to_window(low, wdw)
+    low = _pad_to_window(low, cfg.window)
     for i in range(cfg.cells_per_block):
         name = f"stage2.low.cell{i}"
         low = _cell(low, _subdict(pv, name), cfg, train, stats, probe, name)
@@ -438,7 +445,7 @@ def forward_graph(
 
     out2 = _linear(fused, pv["head.weight"], pv["head.bias"])
     out2 = _unpatchify(out2, cfg.patch)
-    if ph or pw:
+    if out2.shape[2] != h or out2.shape[3] != w:
         out2 = ad.crop2d(out2, 0, 0, h, w, axes=(2, 3))
     pred2 = ad.add(x2, out2)
     output = ad.complex_join(pred2, ch_axis=-1)
@@ -508,25 +515,8 @@ def embed(chunk, params: ParameterSet, cfg: ModelConfig) -> FeatureGrid:
     Output spatial dims are the padded image dims divided by the patch size.
     """
     data = _chunk_values(chunk)
-    _, t, h, w = (1,) + data.shape
-    wp = cfg.window * cfg.patch
-    ph, pw = (-h) % wp, (-w) % wp
-    if (h + ph) * (w + pw) * t * cfg.channels > _MAX_GRID_ELEMENTS:
-        raise InvalidInputError("dimension overflow after padding")
     with ad.no_recording():
-        z = ad.constant(data[None])
-        zp = ad.reflect_pad2d(z, ((0, ph), (0, pw)), axes=(2, 3)) if (ph or pw) else z
-        x = _patchify(ad.complex_split(zp, ch_axis=-1), cfg.patch)
-        pv = lift_params(params)
-        x = _linear(x, pv["embed.weight"], pv["embed.bias"])
-        b, tt, hg, wg, c = x.shape
-        wdw = cfg.window
-        pos = ad.reshape(pv["embed.pos_bias"], (1, 1, 1, wdw, 1, wdw, c))
-        x = ad.reshape(x, (b, tt, hg // wdw, wdw, wg // wdw, wdw, c))
-        x = ad.add(x, pos)
-        x = ad.reshape(x, (b, tt, hg, wg, c))
-        sbias = ad.gather(pv["embed.slice_bias"], np.arange(tt), axis=0)
-        x = ad.add(x, ad.reshape(sbias, (1, tt, 1, 1, c)))
+        x = _embed(ad.constant(data[None]), lift_params(params), cfg)
     grid = np.transpose(np.asarray(x.value)[0], (0, 3, 1, 2))
     return FeatureGrid(np.ascontiguousarray(grid))
 
@@ -608,82 +598,25 @@ def cell_output_bound(cell_params: dict, cfg: ModelConfig, input_bound: float = 
 # checkpoints
 
 def save_checkpoint(path, params: ParameterSet, cfg: ModelConfig, extra: dict | None = None) -> None:
-    """One-file checkpoint: magic, JSON manifest, raw little-endian floats."""
-    names = sorted(params.tensors)
-    offset = 0
-    entries = {}
-    blobs = []
-    for name in names:
-        t = np.ascontiguousarray(params.tensors[name], dtype="<f4")
-        entries[name] = {"offset": offset, "shape": list(t.shape), "dtype": "float32"}
-        blob = t.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    manifest = {
-        "config": asdict(cfg),
-        "init_seed": params.init_seed,
-        "tensors": entries,
-    }
+    """One-file checkpoint: the shared tensor container under the IMTCKPT1 magic."""
+    manifest = {"config": asdict(cfg), "init_seed": params.init_seed}
     if extra:
         manifest["extra"] = extra
-    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(mbytes)))
-        fh.write(mbytes)
-        for blob in blobs:
-            fh.write(blob)
-    os.replace(tmp, path)
+    container.write(path, _CKPT_MAGIC, manifest, params.tensors)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, dict]:
     """Read a checkpoint; bit-exact inverse of save_checkpoint."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < len(_CKPT_MAGIC) + 8:
-        raise TruncationError(f"{path}: shorter than checkpoint header", offset=len(raw))
-    if raw[:8] != _CKPT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {raw[:8]!r}", offset=0)
-    (mlen,) = struct.unpack("<Q", raw[8:16])
-    if len(raw) < 16 + mlen:
-        raise TruncationError(f"{path}: manifest truncated", offset=len(raw))
-    try:
-        manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable manifest: {exc}", offset=16) from exc
-    for key in ("config", "init_seed", "tensors"):
+    manifest, tensors = container.read(path, _CKPT_MAGIC, "checkpoint")
+    for key in ("config", "init_seed"):
         if key not in manifest:
             raise FormatError(f"{path}: manifest missing {key!r}", offset=16)
     try:
         cfg = ModelConfig(**manifest["config"])
-    except (TypeError, InvalidInputError) as exc:
+        init_seed = int(manifest["init_seed"])
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad config in manifest: {exc}", offset=16) from exc
-    payload = raw[16 + mlen :]
-    tensors = {}
-    end = 0
-    for name, entry in manifest["tensors"].items():
-        if entry.get("dtype") != "float32":
-            raise FormatError(
-                f"{path}: tensor {name!r} has unsupported dtype {entry.get('dtype')!r}",
-                offset=16,
-            )
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
-        stop = start + 4 * count
-        if stop > len(payload):
-            raise TruncationError(
-                f"{path}: payload ends inside tensor {name!r}", offset=16 + mlen + len(payload)
-            )
-        tensors[name] = np.frombuffer(payload[start:stop], dtype="<f4").reshape(shape).copy()
-        end = max(end, stop)
-    if end != len(payload):
-        raise FormatError(
-            f"{path}: {len(payload) - end} trailing payload bytes", offset=16 + mlen + end
-        )
-    return ParameterSet(tensors, manifest["init_seed"]), cfg, manifest.get("extra", {})
+    return ParameterSet(tensors, init_seed), cfg, manifest.get("extra", {})
 
 
 def verify_checkpoint(params: ParameterSet, cfg: ModelConfig) -> None:

@@ -12,11 +12,8 @@ oracles); the training loop builds the same formulas on float32 Variables.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import os
-import struct
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -24,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .errors import (
     FormatError,
     InvalidInputError,
     InvalidStateError,
     NumericalFailureError,
-    TruncationError,
 )
 from .imgstack import ComplexImageStack, GFactorMap, mean_signal_power, DEFAULT_TARGET_POWER
 from .kspace import kspace_resize
@@ -188,57 +185,18 @@ class FeatureExtractor:
         return out.value
 
     def save(self, path) -> None:
-        """Write weights in the shared tensor-container grammar (own magic)."""
-        names = sorted(self.weights)
-        entries, blobs, offset = {}, [], 0
-        for name in names:
-            t = np.ascontiguousarray(self.weights[name], dtype="<f4")
-            entries[name] = {"offset": offset, "shape": list(t.shape), "dtype": "float32"}
-            blobs.append(t.tobytes())
-            offset += len(blobs[-1])
-        manifest = {"channels": list(self.channels), "tensors": entries}
-        mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(_FE_MAGIC)
-            fh.write(struct.pack("<Q", len(mbytes)))
-            fh.write(mbytes)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)
+        """Write weights in the shared tensor container (IMTFEXT1 magic)."""
+        container.write(path, _FE_MAGIC, {"channels": list(self.channels)}, self.weights)
 
     @classmethod
     def from_file(cls, path) -> "FeatureExtractor":
-        path = Path(path)
-        raw = path.read_bytes()
-        if len(raw) < 16:
-            raise TruncationError(f"{path}: shorter than extractor header", offset=len(raw))
-        if raw[:8] != _FE_MAGIC:
-            raise FormatError(f"{path}: bad extractor magic {raw[:8]!r}", offset=0)
-        (mlen,) = struct.unpack("<Q", raw[8:16])
-        if len(raw) < 16 + mlen:
-            raise TruncationError(f"{path}: manifest truncated", offset=len(raw))
+        manifest, weights = container.read(path, _FE_MAGIC, "extractor")
+        if "channels" not in manifest:
+            raise FormatError(f"{path}: manifest missing 'channels'", offset=16)
         try:
-            manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: unreadable manifest: {exc}", offset=16) from exc
-        if "channels" not in manifest or "tensors" not in manifest:
-            raise FormatError(f"{path}: manifest missing channels/tensors", offset=16)
-        payload = raw[16 + mlen :]
-        weights = {}
-        for name, entry in manifest["tensors"].items():
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            start = int(entry["offset"])
-            stop = start + 4 * count
-            if stop > len(payload):
-                raise TruncationError(
-                    f"{path}: payload ends inside tensor {name!r}",
-                    offset=16 + mlen + len(payload),
-                )
-            weights[name] = np.frombuffer(payload[start:stop], dtype="<f4").reshape(shape).copy()
-        return cls(kind="external_weights", channels=manifest["channels"], weights=weights)
+            return cls(kind="external_weights", channels=manifest["channels"], weights=weights)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: weights do not fit the manifest: {exc}", offset=16) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +406,23 @@ def sophia_step(
     return ParameterSet(new, params.init_seed)
 
 
+def _hutchinson(gs: list[ad.Variable], wrt: list[ad.Variable], rng) -> list[np.ndarray]:
+    """z * (H z) per tensor of ``wrt``, one Rademacher draw z in ``wrt`` order.
+
+    ``gs`` are the gradients of ``wrt`` from a backward pass run with
+    create_graph=True on the still-open tape; the second backward pass
+    differentiates sum(g * z) into the Hessian-vector product.
+    """
+    zs, s = [], None
+    for v, g in zip(wrt, gs):
+        z = (rng.integers(0, 2, size=v.shape) * 2 - 1).astype(v.value.dtype)
+        zs.append(z)
+        term = ad.reduce_sum(ad.mul(g, ad.constant(z)))
+        s = term if s is None else ad.add(s, term)
+    hvs = ad.backward(s, wrt)
+    return [z * hv.value for z, hv in zip(zs, hvs)]
+
+
 def hessian_diag_estimate(build_loss, point: dict[str, np.ndarray], rng) -> dict[str, np.ndarray]:
     """Hutchinson diagonal-Hessian estimate z * H z with Rademacher z.
 
@@ -457,18 +432,9 @@ def hessian_diag_estimate(build_loss, point: dict[str, np.ndarray], rng) -> dict
     """
     with ad.Tape():
         pv = {n: ad.leaf(np.asarray(v), name=n) for n, v in point.items()}
-        loss = build_loss(pv)
         wrt = list(pv.values())
-        gs = ad.backward(loss, wrt, create_graph=True)
-        zs = {}
-        s = None
-        for (name, v), g in zip(pv.items(), gs):
-            z = (rng.integers(0, 2, size=v.shape) * 2 - 1).astype(v.value.dtype)
-            zs[name] = z
-            term = ad.reduce_sum(ad.mul(g, ad.constant(z)))
-            s = term if s is None else ad.add(s, term)
-        hvs = ad.backward(s, wrt)
-        return {name: zs[name] * hv.value for name, hv in zip(pv, hvs)}
+        gs = ad.backward(build_loss(pv), wrt, create_graph=True)
+        return dict(zip(pv, _hutchinson(gs, wrt, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -714,18 +680,7 @@ def train(
                         grads = {n: g.value for n, g in zip(trainable, gvars)}
                         hess = None
                         if refresh:
-                            zs, s = {}, None
-                            for n, g in zip(trainable, gvars):
-                                zr = (rng.integers(0, 2, size=g.shape) * 2 - 1).astype(
-                                    np.float32
-                                )
-                                zs[n] = zr
-                                term = ad.reduce_sum(ad.mul(g, ad.constant(zr)))
-                                s = term if s is None else ad.add(s, term)
-                            hvs = ad.backward(s, wrt)
-                            hess = {
-                                n: zs[n] * hv.value for n, hv in zip(trainable, hvs)
-                            }
+                            hess = dict(zip(trainable, _hutchinson(gvars, wrt, rng)))
                     params = sophia_step(params, grads, hess, state, train_cfg)
                     update_running_stats(params, stats, model_cfg.bn_momentum)
                     wall = int(round((time.perf_counter() - t0) * 1000))

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,3 +18,38 @@ def small_stack(rng):
         np.complex64
     )
     return ComplexImageStack(data)
+
+
+@pytest.fixture
+def corrupt_containers(tmp_path):
+    """Malformed copies of a valid tensor-container file.
+
+    Returns ``variants(valid, a, b, **fields)``, which yields (label, path)
+    pairs, one per defect a container reader must reject with FormatError:
+    the tensor-entry defects below, and each top-level manifest key in
+    ``fields`` set to its bad value. ``a`` and ``b`` name two tensors of one
+    shape, neither of them stored last.
+    """
+
+    def variants(valid, a, b, **fields):
+        raw = valid.read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[8:16])
+        edits = {
+            "trailing payload bytes": lambda m: None,
+            "float64 entry": lambda m: m["tensors"][a].update(dtype="float64"),
+            "overlapping ranges": lambda m: m["tensors"][b].update(offset=m["tensors"][a]["offset"]),
+            "entry without shape": lambda m: m["tensors"][a].pop("shape"),
+            "negative offset": lambda m: m["tensors"][a].update(offset=-8),
+        }
+        for key, value in fields.items():
+            edits[f"bad {key}"] = lambda m, key=key, value=value: m.update({key: value})
+        for i, (label, edit) in enumerate(edits.items()):
+            manifest = json.loads(raw[16 : 16 + mlen])
+            edit(manifest)
+            mb = json.dumps(manifest).encode()
+            tail = b"\0" * 4 if label == "trailing payload bytes" else b""
+            path = tmp_path / f"corrupt{i}{valid.suffix}"
+            path.write_bytes(raw[:8] + struct.pack("<Q", len(mb)) + mb + raw[16 + mlen :] + tail)
+            yield label, path
+
+    return variants

@@ -243,13 +243,21 @@ def test_denoise_checkpoint_config_mismatch_exits_4(work, phantom_dir):
     assert not (work / "never.imts").exists()
 
 
-def test_denoise_corrupt_checkpoint_exits_2(work, phantom_dir):
+def test_denoise_corrupt_checkpoint_exits_2(work, phantom_dir, tmp_path, corrupt_containers):
     bad = work / "corrupt.ckpt"
     bad.write_bytes(b"definitely not a checkpoint")
-    code = main(["denoise", "--model", str(bad),
-                 "--in", str(phantom_dir / "phantom_000.imts"),
-                 "--out", str(work / "never2.imts")])
-    assert code == 2
+    cases = [("not a checkpoint", bad)]
+    valid = tmp_path / "valid.ckpt"
+    save_checkpoint(valid, init_params(SMALL_MODEL, 0), SMALL_MODEL)
+    cases += corrupt_containers(
+        valid, "stage1.cell0.global.attn.bk", "stage1.cell0.global.attn.bo", init_seed="x"
+    )
+    for label, path in cases:
+        code = main(["denoise", "--model", str(path),
+                     "--in", str(phantom_dir / "phantom_000.imts"),
+                     "--out", str(work / "never2.imts")])
+        assert code == 2, label
+    assert not (work / "never2.imts").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_feature_extractor_file_round_trip(tmp_path):
     assert np.array_equal(fe.features(np.abs(x)), loaded.features(np.abs(x)))
 
 
-def test_feature_extractor_file_errors(tmp_path):
+def test_feature_extractor_file_errors(tmp_path, corrupt_containers):
     path = tmp_path / "fe.bin"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
     with pytest.raises(FormatError):
@@ -177,6 +177,11 @@ def test_feature_extractor_file_errors(tmp_path):
         tr.FeatureExtractor.from_file(path)
     with pytest.raises(InvalidInputError):
         tr.FeatureExtractor(kind="external_weights", weights={})
+    tr.FeatureExtractor(seed=0).save(path)
+    for label, bad in corrupt_containers(path, "conv2.bias", "conv3.bias", channels=["x"]):
+        with pytest.raises(FormatError):
+            tr.FeatureExtractor.from_file(bad)
+            pytest.fail(f"{label} accepted")
 
 
 # ---------------------------------------------------------------------------
