@@ -400,8 +400,8 @@ def _fwd_matmul(a, b):
 
 def _vjp_matmul(g, rec):
     a, b = rec.inputs
-    da = None if a.stop else sum_to(matmul(g, swap_last(b)), a.shape)
-    db = None if b.stop else sum_to(matmul(swap_last(a), g), b.shape)
+    da = None if a.stop else sum_to(matmul(g, swapaxes(b, -1, -2)), a.shape)
+    db = None if b.stop else sum_to(matmul(swapaxes(a, -1, -2), g), b.shape)
     return da, db
 
 
@@ -721,10 +721,9 @@ def transpose(a, axes):
     return _apply("transpose", a, axes=tuple(axes))
 
 
-def swap_last(a):
-    ndim = len(a.shape)
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
+def swapaxes(a, i, j):
+    axes = list(range(len(a.shape)))
+    axes[i], axes[j] = axes[j], axes[i]
     return transpose(a, axes)
 
 

@@ -23,19 +23,24 @@ from .errors import FormatError, TruncationError
 _HEADER_LEN = 16  # magic(8) + manifest length(8)
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Replace ``path`` with ``data``; readers see the old file or the new one.
+def atomic_write(path, *chunks) -> None:
+    """Replace ``path`` with ``chunks`` back to back; readers see the old file
+    or the new one.
 
-    The bytes go to a uniquely named sibling opened with mode ``"xb"`` (so the
-    file mode follows the umask), are fsynced, then renamed over ``path``.
-    On any error the sibling is removed and ``path`` is left as it was.
+    Each chunk is a bytes-like object (bytes, a memoryview, a C-contiguous
+    array) written as it is, so a large payload is never copied into one
+    buffer. The bytes go to a uniquely named sibling opened with mode ``"xb"``
+    (so the file mode follows the umask), are fsynced, then renamed over
+    ``path``. On any error the sibling is removed and ``path`` is left as it
+    was.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -50,10 +55,10 @@ def write(path, magic: bytes, manifest: dict, tensors: dict[str, np.ndarray]) ->
     for name in sorted(tensors):
         t = np.ascontiguousarray(tensors[name], dtype="<f4")
         entries[name] = {"offset": offset, "shape": list(t.shape), "dtype": "float32"}
-        blobs.append(t.tobytes())
-        offset += len(blobs[-1])
+        blobs.append(t)
+        offset += t.nbytes
     mbytes = json.dumps({**manifest, "tensors": entries}, sort_keys=True).encode("utf-8")
-    atomic_write(path, b"".join([magic, struct.pack("<Q", len(mbytes)), mbytes, *blobs]))
+    atomic_write(path, magic, struct.pack("<Q", len(mbytes)), mbytes, *blobs)
 
 
 def read(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -11,6 +11,7 @@ export, and the IMTS binary file format.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,8 +249,7 @@ def write_pgm_slices(stack: ComplexImageStack, out_stem: str | Path) -> list[Pat
     for s in range(stack.slices):
         path = stem.parent / f"{stem.name}_s{s}.pgm"
         header = f"P5\n{stack.width} {stack.height}\n65535\n".encode("ascii")
-        payload = u16[s].astype(">u2").tobytes()
-        atomic_write(path, header + payload)
+        atomic_write(path, header, u16[s].astype(">u2"))
         paths.append(path)
     return paths
 
@@ -261,15 +261,13 @@ def _encode_header(s: int, h: int, w: int, dtype_flag: int) -> bytes:
 def save_stack(stack: ComplexImageStack, path: str | Path) -> None:
     """Write a stack to an IMTS file (complex payload, dtype flag 0)."""
     header = _encode_header(stack.slices, stack.height, stack.width, _DTYPE_COMPLEX)
-    payload = stack.data.astype("<c8").tobytes()
-    atomic_write(path, header + payload)
+    atomic_write(path, header, np.ascontiguousarray(stack.data, dtype="<c8"))
 
 
 def save_gmap(gmap: GFactorMap, path: str | Path) -> None:
     """Write a g-factor map to an IMTS file (real payload, S=1, dtype flag 1)."""
     header = _encode_header(1, gmap.height, gmap.width, _DTYPE_REAL)
-    payload = gmap.values.astype("<f4").tobytes()
-    atomic_write(path, header + payload)
+    atomic_write(path, header, np.ascontiguousarray(gmap.values, dtype="<f4"))
 
 
 def _read_header(raw: bytes, path: Path) -> tuple[int, int, int, int]:
@@ -287,43 +285,47 @@ def _read_header(raw: bytes, path: Path) -> tuple[int, int, int, int]:
     return s, h, w, flag
 
 
-def _read_payload(raw: bytes, count: int, itemsize: int, path: Path) -> bytes:
-    expected = count * itemsize
-    got = len(raw) - _HEADER_LEN
-    if got < expected:
-        raise TruncationError(
-            f"{path}: payload holds {got} bytes, header claims {expected}",
-            offset=_HEADER_LEN + got,
-        )
-    if got > expected:
-        raise FormatError(
-            f"{path}: {got - expected} trailing bytes after payload",
-            offset=_HEADER_LEN + expected,
-        )
-    return raw[_HEADER_LEN : _HEADER_LEN + expected]
+def _read_imts(path: Path, flag: int) -> np.ndarray:
+    """The (S, H, W) payload of an IMTS file whose dtype flag must be ``flag``.
+
+    The header's sizes are checked against the file length before the payload
+    array is allocated; the payload is then read straight into that array.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        s, h, w, found = _read_header(fh.read(_HEADER_LEN), path)
+        kind, dtype = ("complex", "<c8") if flag == _DTYPE_COMPLEX else ("real", "<f4")
+        if found != flag:
+            raise FormatError(
+                f"{path}: expected {kind} payload, found dtype flag {found}", offset=20
+            )
+        if flag == _DTYPE_REAL and s != 1:
+            raise FormatError(
+                f"{path}: g-factor maps are single-slice, header says S={s}", offset=8
+            )
+        expected, got = s * h * w * np.dtype(dtype).itemsize, size - _HEADER_LEN
+        if got > expected:
+            raise FormatError(
+                f"{path}: {got - expected} trailing bytes after payload",
+                offset=_HEADER_LEN + expected,
+            )
+        if got == expected:
+            data = np.empty((s, h, w), dtype=dtype)
+            # a file that shrank since fstat reads short and fails below
+            got = fh.readinto(data.reshape(-1).view(np.uint8))
+        if got < expected:
+            raise TruncationError(
+                f"{path}: payload holds {got} bytes, header claims {expected}",
+                offset=_HEADER_LEN + got,
+            )
+    return data
 
 
 def load_stack(path: str | Path) -> ComplexImageStack:
     """Read an IMTS complex stack; save/load round trips bit-exactly."""
-    path = Path(path)
-    raw = path.read_bytes()
-    s, h, w, flag = _read_header(raw, path)
-    if flag != _DTYPE_COMPLEX:
-        raise FormatError(f"{path}: expected complex payload, found dtype flag {flag}", offset=20)
-    payload = _read_payload(raw, s * h * w, 8, path)
-    data = np.frombuffer(payload, dtype="<c8").reshape(s, h, w)
-    return ComplexImageStack(data.astype(np.complex64))
+    return ComplexImageStack(_read_imts(Path(path), _DTYPE_COMPLEX))
 
 
 def load_gmap(path: str | Path) -> GFactorMap:
     """Read an IMTS g-factor map (dtype flag 1, single slice)."""
-    path = Path(path)
-    raw = path.read_bytes()
-    s, h, w, flag = _read_header(raw, path)
-    if flag != _DTYPE_REAL:
-        raise FormatError(f"{path}: expected real payload, found dtype flag {flag}", offset=20)
-    if s != 1:
-        raise FormatError(f"{path}: g-factor maps are single-slice, header says S={s}", offset=8)
-    payload = _read_payload(raw, h * w, 4, path)
-    values = np.frombuffer(payload, dtype="<f4").reshape(h, w)
-    return GFactorMap(values.astype(np.float32))
+    return GFactorMap(_read_imts(Path(path), _DTYPE_REAL)[0])

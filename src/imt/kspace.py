@@ -23,33 +23,24 @@ from .imgstack import ComplexImageStack
 
 
 def fft2(image: np.ndarray) -> np.ndarray:
-    """Centered unitary 2D DFT of one H x W slice (complex in, complex out)."""
+    """Centered unitary 2D DFT over the last two axes (one H x W slice or a
+    stack of them; complex in, complex out)."""
     x = np.asarray(image)
-    if x.ndim != 2:
-        raise InvalidInputError(f"fft2 expects a 2-D slice, got shape {x.shape}")
-    return np.fft.fftshift(scipy.fft.fft2(np.fft.ifftshift(x), norm="ortho"))
+    if x.ndim < 2:
+        raise InvalidInputError(f"fft2 expects at least 2 dims, got shape {x.shape}")
+    ax = (-2, -1)
+    k = scipy.fft.fft2(np.fft.ifftshift(x, axes=ax), axes=ax, norm="ortho")
+    return np.fft.fftshift(k, axes=ax)
 
 
 def ifft2(kspace: np.ndarray) -> np.ndarray:
     """Inverse of fft2 (identity round trip to float precision)."""
     x = np.asarray(kspace)
-    if x.ndim != 2:
-        raise InvalidInputError(f"ifft2 expects a 2-D slice, got shape {x.shape}")
-    return np.fft.fftshift(scipy.fft.ifft2(np.fft.ifftshift(x), norm="ortho"))
-
-
-def _fft2_batch(x: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(
-        scipy.fft.fft2(np.fft.ifftshift(x, axes=(-2, -1)), axes=(-2, -1), norm="ortho"),
-        axes=(-2, -1),
-    )
-
-
-def _ifft2_batch(x: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(
-        scipy.fft.ifft2(np.fft.ifftshift(x, axes=(-2, -1)), axes=(-2, -1), norm="ortho"),
-        axes=(-2, -1),
-    )
+    if x.ndim < 2:
+        raise InvalidInputError(f"ifft2 expects at least 2 dims, got shape {x.shape}")
+    ax = (-2, -1)
+    k = scipy.fft.ifft2(np.fft.ifftshift(x, axes=ax), axes=ax, norm="ortho")
+    return np.fft.fftshift(k, axes=ax)
 
 
 @dataclass(frozen=True)
@@ -141,14 +132,6 @@ def apply_kspace_filters(image: np.ndarray, spec: KspaceFilterSpec) -> np.ndarra
     return ifft2(k * mask.astype(k.real.dtype))
 
 
-def apply_kspace_filters_stack(data: np.ndarray, spec: KspaceFilterSpec) -> np.ndarray:
-    """Vectorized apply_kspace_filters over the leading (slice) axis."""
-    x = np.asarray(data)
-    mask = filter_mask(spec, x.shape[-2], x.shape[-1])
-    k = _fft2_batch(x)
-    return _ifft2_batch(k * mask.astype(k.real.dtype))
-
-
 def _centered_crop_or_pad(k: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Centered spectrum crop/pad keeping DC at floor(n/2) on both grids."""
     in_h, in_w = k.shape[-2:]
@@ -184,6 +167,5 @@ def kspace_resize(stack: ComplexImageStack, ratio: float) -> ComplexImageStack:
         )
     if (out_h, out_w) == (stack.height, stack.width):
         return stack
-    k = _fft2_batch(stack.data)
-    k = _centered_crop_or_pad(k, out_h, out_w)
-    return ComplexImageStack(_ifft2_batch(k).astype(np.complex64))
+    k = _centered_crop_or_pad(fft2(stack.data), out_h, out_w)
+    return ComplexImageStack(ifft2(k).astype(np.complex64))

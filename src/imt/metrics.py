@@ -43,7 +43,7 @@ def magnitude_stack(x) -> np.ndarray:
         raise InvalidInputError(f"expected a 2-D slice or 3-D stack, got shape {a.shape}")
     if np.iscomplexobj(a):
         return np.abs(a.astype(np.complex128))
-    return np.abs(a.astype(np.float64))
+    return np.abs(np.asarray(a, dtype=np.float64))
 
 
 def _magnitude_pair(test, ref):
@@ -54,10 +54,13 @@ def _magnitude_pair(test, ref):
     return a, b
 
 
+def _range(a: np.ndarray, b: np.ndarray) -> float:
+    return float(max(a.max(), b.max()) - min(a.min(), b.min()))
+
+
 def pair_range(test, ref) -> float:
     """Dynamic range (max - min) over the union of both magnitude stacks."""
-    a, b = _magnitude_pair(test, ref)
-    return float(max(a.max(), b.max()) - min(a.min(), b.min()))
+    return _range(*_magnitude_pair(test, ref))
 
 
 def psnr(test, ref) -> float:
@@ -68,7 +71,7 @@ def psnr(test, ref) -> float:
     a substitute number.
     """
     a, b = _magnitude_pair(test, ref)
-    rng = float(max(a.max(), b.max()) - min(a.min(), b.min()))
+    rng = _range(a, b)
     vals = []
     for s in range(a.shape[0]):
         mse = float(np.mean((a[s] - b[s]) ** 2))
@@ -100,7 +103,7 @@ def ssim(test, ref) -> float:
         if size % 2 == 0:
             size -= 1
         log.info("slice %dx%d smaller than SSIM window, reduced to %d", h, w, size)
-    rng = float(max(a.max(), b.max()) - min(a.min(), b.min()))
+    rng = _range(a, b)
     c1 = (SSIM_K1 * rng) ** 2
     c2 = (SSIM_K2 * rng) ** 2
     win = _gaussian_window(size, SSIM_SIGMA)
@@ -132,7 +135,7 @@ def nrmse(test, ref, mode: str = "signal") -> float:
         if denom == 0.0:
             raise DegenerateInputError("zero-norm reference: signal-normalized NRMSE undefined")
         return float(np.linalg.norm(a - b) / denom)
-    rng = float(max(a.max(), b.max()) - min(a.min(), b.min()))
+    rng = _range(a, b)
     if rng == 0.0:
         raise DegenerateInputError("zero dynamic range: range-normalized NRMSE undefined")
     return float(np.sqrt(np.mean((a - b) ** 2)) / rng)
@@ -269,12 +272,9 @@ class MetricsReport:
 
 
 def evaluate_case(case_id: str, test, ref) -> CaseMetrics:
-    return CaseMetrics(
-        case_id=case_id,
-        psnr=psnr(test, ref),
-        ssim=ssim(test, ref),
-        nrmse=nrmse(test, ref),
-    )
+    # convert once; magnitude_stack passes float64 magnitudes on without a cast
+    a, b = _magnitude_pair(test, ref)
+    return CaseMetrics(case_id=case_id, psnr=psnr(a, b), ssim=ssim(a, b), nrmse=nrmse(a, b))
 
 
 def build_report(entries) -> MetricsReport:

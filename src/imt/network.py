@@ -15,6 +15,7 @@ check runs it in float64).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -145,12 +146,6 @@ class FeatureGrid:
         return self.values.shape
 
 
-def _grid_values(grid) -> np.ndarray:
-    if isinstance(grid, FeatureGrid):
-        return grid.values
-    return FeatureGrid(grid).values
-
-
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -211,23 +206,14 @@ def _linear(x, w, b):
 
 def _heads_split(tok, heads):
     # (..., N, C) -> (..., heads, N, d)
-    shape = tok.shape
-    n, c = shape[-2], shape[-1]
-    tok = ad.reshape(tok, shape[:-1] + (heads, c // heads))
-    nd = len(tok.shape)
-    axes = list(range(nd))
-    axes[nd - 3], axes[nd - 2] = axes[nd - 2], axes[nd - 3]
-    return ad.transpose(tok, axes)
+    c = tok.shape[-1]
+    return ad.swapaxes(ad.reshape(tok, tok.shape[:-1] + (heads, c // heads)), -3, -2)
 
 
 def _heads_merge(tok):
     # (..., heads, N, d) -> (..., N, heads*d)
-    nd = len(tok.shape)
-    axes = list(range(nd))
-    axes[nd - 3], axes[nd - 2] = axes[nd - 2], axes[nd - 3]
-    tok = ad.transpose(tok, axes)
-    shape = tok.shape
-    return ad.reshape(tok, shape[:-2] + (shape[-2] * shape[-1],))
+    tok = ad.swapaxes(tok, -3, -2)
+    return ad.reshape(tok, tok.shape[:-2] + (tok.shape[-2] * tok.shape[-1],))
 
 
 def _mha(tok, p, heads, probe=None, probe_key=None):
@@ -236,7 +222,7 @@ def _mha(tok, p, heads, probe=None, probe_key=None):
     k = _heads_split(_linear(tok, p["wk"], p["bk"]), heads)
     v = _heads_split(_linear(tok, p["wv"], p["bv"]), heads)
     scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = ad.mul(ad.matmul(q, ad.swap_last(k)), ad._lift(scale, q))
+    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), ad._lift(scale, q))
     probs = ad.softmax(scores, axis=-1)
     if probe is not None:
         probe[probe_key] = np.asarray(probs.value)
@@ -244,50 +230,34 @@ def _mha(tok, p, heads, probe=None, probe_key=None):
     return _linear(out, p["wo"], p["bo"])
 
 
-def _window_split(x, w):
-    # (B,T,H,W,C) -> (B,T,nH,nW,w*w,C); tokens ordered row-major in-window
+# The blocked grid splits H and W into blocks of w, giving the axes
+# (B,T,H/w,w,W/w,w,C); an order permutes them so the token group comes last.
+# Local attention groups the w*w positions of one window, global attention
+# the (H/w)*(W/w) windows at one in-window position.
+_LOCAL = (0, 1, 2, 4, 3, 5, 6)  # (B,T,H/w,W/w,w,w,C)
+_GLOBAL = (0, 1, 3, 5, 2, 4, 6)  # (B,T,w,w,H/w,W/w,C)
+_INVERSE = {order: tuple(int(i) for i in np.argsort(order)) for order in (_LOCAL, _GLOBAL)}
+
+
+def _blocks(x, w, order):
+    """(B,T,H,W,C) -> the blocked grid (B,T,H/w,w,W/w,w,C) permuted by ``order``."""
     b, t, h, wi, c = x.shape
-    x = ad.reshape(x, (b, t, h // w, w, wi // w, w, c))
-    x = ad.transpose(x, (0, 1, 2, 4, 3, 5, 6))
-    return ad.reshape(x, (b, t, h // w, wi // w, w * w, c))
+    return ad.transpose(ad.reshape(x, (b, t, h // w, w, wi // w, w, c)), order)
 
 
-def _window_merge(x, w, h, wi):
-    b, t = x.shape[0], x.shape[1]
-    c = x.shape[-1]
-    x = ad.reshape(x, (b, t, h // w, wi // w, w, w, c))
-    x = ad.transpose(x, (0, 1, 2, 4, 3, 5, 6))
-    return ad.reshape(x, (b, t, h, wi, c))
+def _unblocks(x, order):
+    """Inverse of ``_blocks``: a permuted blocked grid back to (B,T,H,W,C)."""
+    x = ad.transpose(x, _INVERSE[order])
+    b, t, nh, w, nw, w2, c = x.shape
+    return ad.reshape(x, (b, t, nh * w, nw * w2, c))
 
 
-def _position_split(x, w):
-    # (B,T,H,W,C) -> (B,T,w,w,nH*nW,C): same intra-window position grouped
-    b, t, h, wi, c = x.shape
-    x = ad.reshape(x, (b, t, h // w, w, wi // w, w, c))
-    x = ad.transpose(x, (0, 1, 3, 5, 2, 4, 6))
-    return ad.reshape(x, (b, t, w, w, (h // w) * (wi // w), c))
-
-
-def _position_merge(x, w, h, wi):
-    b, t = x.shape[0], x.shape[1]
-    c = x.shape[-1]
-    x = ad.reshape(x, (b, t, w, w, h // w, wi // w, c))
-    x = ad.transpose(x, (0, 1, 4, 2, 5, 3, 6))
-    return ad.reshape(x, (b, t, h, wi, c))
-
-
-def _attend_local(x, p, cfg, probe=None, key=None):
-    h, wi = x.shape[2], x.shape[3]
-    tok = _window_split(x, cfg.window)
-    out = _mha(tok, p, cfg.heads, probe, key)
-    return _window_merge(out, cfg.window, h, wi)
-
-
-def _attend_global(x, p, cfg, probe=None, key=None):
-    h, wi = x.shape[2], x.shape[3]
-    tok = _position_split(x, cfg.window)
-    out = _mha(tok, p, cfg.heads, probe, key)
-    return _position_merge(out, cfg.window, h, wi)
+def _attend_blocked(x, p, cfg, probe=None, key=None, *, order):
+    # local or global attention: axes 4 and 5 of the blocked grid form a group
+    g = _blocks(x, cfg.window, order)
+    b, t, g1, g2, n1, n2, c = g.shape
+    out = _mha(ad.reshape(g, (b, t, g1, g2, n1 * n2, c)), p, cfg.heads, probe, key)
+    return _unblocks(ad.reshape(out, g.shape), order)
 
 
 def _attend_slice(x, p, cfg, probe=None, key=None):
@@ -297,7 +267,11 @@ def _attend_slice(x, p, cfg, probe=None, key=None):
     return ad.transpose(out, (0, 3, 1, 2, 4))
 
 
-_ATTEND = {"slice": _attend_slice, "local": _attend_local, "global": _attend_global}
+_ATTEND = {
+    "slice": _attend_slice,
+    "local": functools.partial(_attend_blocked, order=_LOCAL),
+    "global": functools.partial(_attend_blocked, order=_GLOBAL),
+}
 
 
 def _bn(x, p, cfg, train, stats=None, key=None):
@@ -347,18 +321,14 @@ def _check_finite(x, layer: str):
 
 def _patchify(x, p):
     # (B,T,H,W,2) -> (B,T,H/p,W/p,2*p*p)
-    b, t, h, w, two = x.shape
-    x = ad.reshape(x, (b, t, h // p, p, w // p, p, two))
-    x = ad.transpose(x, (0, 1, 2, 4, 3, 5, 6))
-    return ad.reshape(x, (b, t, h // p, w // p, two * p * p))
+    x = _blocks(x, p, _LOCAL)
+    b, t, hg, wg, p1, p2, two = x.shape
+    return ad.reshape(x, (b, t, hg, wg, two * p1 * p2))
 
 
 def _unpatchify(x, p):
     b, t, hg, wg, f = x.shape
-    two = f // (p * p)
-    x = ad.reshape(x, (b, t, hg, wg, p, p, two))
-    x = ad.transpose(x, (0, 1, 2, 4, 3, 5, 6))
-    return ad.reshape(x, (b, t, hg * p, wg * p, two))
+    return _unblocks(ad.reshape(x, (b, t, hg, wg, p, p, f // (p * p))), _LOCAL)
 
 
 def _pad_to_window(x, w):
@@ -509,6 +479,19 @@ def forward(chunk, params: ParameterSet, cfg: ModelConfig, mode: str = "eval"):
     return ComplexImageStack(np.ascontiguousarray(out.astype(np.complex64)))
 
 
+def _grid_in(grid, params: dict):
+    """A (T,C,H,W) grid as a (1,T,H,W,C) constant, and ``params`` as constants."""
+    vals = grid.values if isinstance(grid, FeatureGrid) else FeatureGrid(grid).values
+    x = ad.constant(np.transpose(vals, (0, 2, 3, 1))[None])
+    return x, {k: ad.constant(v) for k, v in params.items()}
+
+
+def _grid_out(x) -> FeatureGrid:
+    """A (1,T,H,W,C) Variable as a (T,C,H,W) grid."""
+    grid = np.transpose(np.asarray(x.value)[0], (0, 3, 1, 2))
+    return FeatureGrid(np.ascontiguousarray(grid))
+
+
 def embed(chunk, params: ParameterSet, cfg: ModelConfig) -> FeatureGrid:
     """Patch-embed a complex chunk into a T x C x H' x W' grid.
 
@@ -517,14 +500,13 @@ def embed(chunk, params: ParameterSet, cfg: ModelConfig) -> FeatureGrid:
     data = _chunk_values(chunk)
     with ad.no_recording():
         x = _embed(ad.constant(data[None]), lift_params(params), cfg)
-    grid = np.transpose(np.asarray(x.value)[0], (0, 3, 1, 2))
-    return FeatureGrid(np.ascontiguousarray(grid))
+    return _grid_out(x)
 
 
 def _unit_op(unit: str):
     def op(grid, unit_params: dict, cfg: ModelConfig, return_probs: bool = False):
-        vals = _grid_values(grid)
-        t, c, h, w = vals.shape
+        x, pvu = _grid_in(grid, unit_params)
+        _, _, h, w, c = x.shape
         if c != cfg.channels:
             raise InvalidInputError(f"grid has {c} channels, config says {cfg.channels}")
         if unit in ("local", "global") and (h % cfg.window or w % cfg.window):
@@ -533,12 +515,7 @@ def _unit_op(unit: str):
             )
         probe: dict = {}
         with ad.no_recording():
-            x = ad.constant(np.transpose(vals, (0, 2, 3, 1))[None])
-            pvu = {k: ad.constant(v) for k, v in unit_params.items()}
-            out = _ATTEND[unit](x, pvu, cfg, probe, "probs")
-        res = FeatureGrid(
-            np.ascontiguousarray(np.transpose(np.asarray(out.value)[0], (0, 3, 1, 2)))
-        )
+            res = _grid_out(_ATTEND[unit](x, pvu, cfg, probe, "probs"))
         if return_probs:
             return res, probe["probs"]
         return res
@@ -559,14 +536,9 @@ def attention_cell(grid, cell_params: dict, cfg: ModelConfig, mode: str = "eval"
     ``slice.bn.gamma`` or ``local.attn.wq`` (the layout ``ParameterSet.subset``
     produces for one cell prefix).
     """
-    vals = _grid_values(grid)
+    x, pv = _grid_in(grid, cell_params)
     with ad.no_recording():
-        x = ad.constant(np.transpose(vals, (0, 2, 3, 1))[None])
-        pv = {k: ad.constant(v) for k, v in cell_params.items()}
-        out = _cell(x, pv, cfg, train=(mode == "train"))
-    return FeatureGrid(
-        np.ascontiguousarray(np.transpose(np.asarray(out.value)[0], (0, 3, 1, 2)))
-    )
+        return _grid_out(_cell(x, pv, cfg, train=(mode == "train")))
 
 
 def cell_output_bound(cell_params: dict, cfg: ModelConfig, input_bound: float = 1.0) -> float:

@@ -27,7 +27,7 @@ from .imgstack import (
     GFactorMap,
     mean_signal_power,
 )
-from .kspace import KspaceFilterSpec, filter_mask, _fft2_batch, _ifft2_batch
+from .kspace import KspaceFilterSpec, fft2, filter_mask, ifft2
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +141,7 @@ def synth_noise(
     base *= np.float32(spec.sigma)
     if not spec.filter.is_all_pass():
         mask = filter_mask(spec.filter, height, width).astype(np.float32)
-        filtered = _ifft2_batch(_fft2_batch(base) * mask)
+        filtered = ifft2(fft2(base) * mask)
         # restore per-component std so "level sigma" means the same strength
         # under every filter choice
         base = (filtered / np.float32(_filter_gain(spec.filter, height, width))).astype(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,3 +277,32 @@ class TestStackFile:
     def test_no_temp_file_left(self, tmp_path, small_stack):
         save_stack(small_stack, tmp_path / "a.imts")
         assert [p.name for p in tmp_path.iterdir()] == ["a.imts"]
+
+    @staticmethod
+    def _peak_bytes(fn):
+        """Peak traced bytes ``fn`` allocates above what was live before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] - base, result
+        finally:
+            tracemalloc.stop()
+
+    def test_save_does_not_copy_payload(self, tmp_path):
+        # 32 x 256 x 256 complex64: a 16 MB payload, written straight from the array
+        stack = ComplexImageStack(np.full((32, 256, 256), 1 + 2j, dtype=np.complex64))
+        path = tmp_path / "big.imts"
+        peak, _ = self._peak_bytes(lambda: save_stack(stack, path))
+        assert peak < stack.data.nbytes // 4
+        assert path.stat().st_size == 21 + stack.data.nbytes
+
+    def test_load_reads_payload_in_place(self, tmp_path):
+        # one payload array plus the finiteness mask, no staging copies
+        stack = ComplexImageStack(np.full((32, 256, 256), 1 + 2j, dtype=np.complex64))
+        path = tmp_path / "big.imts"
+        save_stack(stack, path)
+        peak, loaded = self._peak_bytes(lambda: load_stack(path))
+        assert peak < 1.5 * stack.data.nbytes
+        assert loaded == stack
+        assert loaded.data.flags.aligned and loaded.data.flags.c_contiguous

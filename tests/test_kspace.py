@@ -49,6 +49,16 @@ class TestTransforms:
         assert fft2(img).dtype == np.complex64
         assert ifft2(img).dtype == np.complex64
 
+    def test_stack_is_per_slice(self, rng):
+        # the transforms act on the last two axes only, slice by slice
+        stack = (rng.normal(size=(3, 7, 9)) + 1j * rng.normal(size=(3, 7, 9))).astype(
+            np.complex64
+        )
+        for fn in (fft2, ifft2):
+            assert np.array_equal(fn(stack), np.stack([fn(s) for s in stack]))
+            with pytest.raises(InvalidInputError):
+                fn(stack[0, 0])
+
     def test_delta_flat_spectrum(self):
         # delta at the center pixel -> constant spectrum (phase-free)
         k = fft2(delta_image(8, 8))

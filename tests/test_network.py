@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imt import autodiff as ad
 from imt.errors import (
     FormatError,
     InvalidInputError,
@@ -14,10 +15,16 @@ from imt.network import (
     ParameterSet,
     attention_cell,
     cell_output_bound,
+    _GLOBAL,
+    _LOCAL,
+    _blocks,
+    _unblocks,
     embed,
     forward,
+    forward_graph,
     global_attention,
     init_params,
+    lift_params,
     load_checkpoint,
     local_attention,
     save_checkpoint,
@@ -205,6 +212,41 @@ class TestLocalAttention:
         grid = rng.normal(size=(1, 8, 6, 8)).astype(np.float32)
         with pytest.raises(InvalidInputError):
             local_attention(grid, identity_attn(8), cfg)
+
+
+class TestBlockedGrid:
+    def test_orders_match_index_oracle_and_round_trip(self, rng):
+        w, nh, nw = 4, 2, 3
+        x = rng.normal(size=(2, 3, nh * w, nw * w, 5)).astype(np.float32)
+        # local: (B,T,H/w,W/w,w,w,C); global: (B,T,w,w,H/w,W/w,C)
+        i, j, u, v = np.meshgrid(
+            np.arange(nh), np.arange(nw), np.arange(w), np.arange(w), indexing="ij"
+        )
+        local = x[:, :, i * w + u, j * w + v, :]
+        u, v, i, j = np.meshgrid(
+            np.arange(w), np.arange(w), np.arange(nh), np.arange(nw), indexing="ij"
+        )
+        glob = x[:, :, i * w + u, j * w + v, :]
+        for order, oracle in ((_LOCAL, local), (_GLOBAL, glob)):
+            g = _blocks(ad.constant(x), w, order)
+            assert g.value.shape == oracle.shape
+            assert np.array_equal(g.value, oracle)
+            back = _unblocks(g, order).value
+            assert back.shape == x.shape
+            assert np.array_equal(back, x)
+
+    def test_tape_record_count_pinned(self, rng):
+        # the count the graph had when the blocked-grid helpers were introduced;
+        # a change to the graph must update it on purpose
+        cfg = tiny_cfg()
+        params = init_params(cfg, 0)
+        z = complex_chunk(rng, 2, 6, 10, scale=1.0)[None]  # padded, then cropped
+        with ad.Tape() as tape:
+            pv = lift_params(params, trainable=True)
+            out = forward_graph(ad.constant(z), pv, cfg, train=True)
+            loss = ad.reduce_sum(ad.square(out["pred2"]))
+            ad.backward(loss, [pv[n] for n in params.trainable_names()], create_graph=True)
+            assert len(tape.records) == 2502
 
 
 class TestGlobalAttention:
