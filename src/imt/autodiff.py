@@ -471,9 +471,11 @@ def _vjp_reduce_max(g, rec):
 
 
 def _fwd_softmax(a, axis):
-    shifted = a - np.max(a, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True), None
+    # in place, so the forward allocates one score-sized array, not three
+    out = a - np.max(a, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out, None
 
 
 def _vjp_softmax(g, rec):
@@ -482,7 +484,7 @@ def _vjp_softmax(g, rec):
     s = rec.out
     gs = mul(g, s)
     total = reduce_sum(gs, axis=axis, keepdims=True)
-    return (mul(s, sub(g, broadcast_to(total, np.shape(g.value)))),)
+    return (mul(s, sub(g, total)),)
 
 
 def _fwd_stop_gradient(a):
@@ -577,8 +579,7 @@ def _vjp_channel_magnitude(g, rec):
     scale = div(g, safe)
     kept = list(x.shape)
     kept[ch_axis] = 1
-    scale = broadcast_to(reshape(scale, tuple(kept)), x.shape)
-    return (mul(scale, x),)
+    return (mul(reshape(scale, tuple(kept)), x),)
 
 
 def _fwd_batch_norm_train(x, gamma, beta, axes, eps):
@@ -596,15 +597,18 @@ def _vjp_batch_norm_train(g, rec):
     eps = rec.kwargs["eps"]
     # recomputed with taped ops so the result supports double backward
     mu = reduce_mean(x, axis=axes, keepdims=True)
-    xc = sub(x, broadcast_to(mu, x.shape))
+    xc = sub(x, mu)
     var = reduce_mean(mul(xc, xc), axis=axes, keepdims=True)
     inv = div(_lift(1.0, x), sqrt(var + _lift(eps, x)))
-    inv_b = broadcast_to(inv, x.shape)
-    xhat = mul(xc, inv_b)
+    # full-shape, so the cotangents of its two uses below add before one
+    # reduction; reducing each use apart changes the bits of a Hessian-vector
+    # product taken through this VJP
+    inv = broadcast_to(inv, x.shape)
+    xhat = mul(xc, inv)
     dxhat = mul(g, gamma)
-    m1 = broadcast_to(reduce_mean(dxhat, axis=axes, keepdims=True), x.shape)
-    m2 = broadcast_to(reduce_mean(mul(dxhat, xhat), axis=axes, keepdims=True), x.shape)
-    dx = mul(inv_b, sub(sub(dxhat, m1), mul(xhat, m2)))
+    m1 = reduce_mean(dxhat, axis=axes, keepdims=True)
+    m2 = reduce_mean(mul(dxhat, xhat), axis=axes, keepdims=True)
+    dx = mul(inv, sub(sub(dxhat, m1), mul(xhat, m2)))
     dgamma = sum_to(mul(g, xhat), gamma.shape)
     dbeta = sum_to(g, beta.shape)
     return dx, dgamma, dbeta
@@ -619,8 +623,8 @@ def _vjp_batch_norm_eval(g, rec):
     x, gamma, beta, rmean, rvar = rec.inputs
     eps = rec.kwargs["eps"]
     inv = div(_lift(1.0, x), sqrt(rvar + _lift(eps, x)))
-    dx = sum_to(mul(g, mul(gamma, broadcast_to(inv, np.shape(g.value)))), x.shape)
-    xhat = mul(sub(x, broadcast_to(rmean, x.shape)), broadcast_to(inv, x.shape))
+    dx = mul(g, mul(gamma, inv))
+    xhat = mul(sub(x, rmean), inv)
     dgamma = sum_to(mul(g, xhat), gamma.shape)
     dbeta = sum_to(g, beta.shape)
     return dx, dgamma, dbeta, None, None

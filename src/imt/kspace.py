@@ -123,11 +123,12 @@ def filter_mask(spec: KspaceFilterSpec, height: int, width: int) -> np.ndarray:
 
 
 def apply_kspace_filters(image: np.ndarray, spec: KspaceFilterSpec) -> np.ndarray:
-    """fft2 -> multiply by the separable mask -> ifft2, on one slice."""
+    """fft2 -> multiply by the separable mask -> ifft2, over the last two axes
+    (one H x W slice or a stack of them)."""
     x = np.asarray(image)
-    if x.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D slice, got shape {x.shape}")
-    mask = filter_mask(spec, x.shape[0], x.shape[1])
+    if x.ndim < 2:
+        raise InvalidInputError(f"expected at least 2 dims (..., H, W), got shape {x.shape}")
+    mask = filter_mask(spec, x.shape[-2], x.shape[-1])
     k = fft2(x)
     return ifft2(k * mask.astype(k.real.dtype))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import correlate
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import t as student_t
 
 from .container import atomic_write
@@ -80,10 +80,16 @@ def psnr(test, ref) -> float:
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
     c = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - c) ** 2) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
+
+
+def _blur(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Valid-mode correlation with the window outer(g, g), one 1-D pass per axis."""
+    x = sliding_window_view(x, g.size, axis=0) @ g
+    return sliding_window_view(x, g.size, axis=1) @ g
 
 
 def ssim(test, ref) -> float:
@@ -106,15 +112,15 @@ def ssim(test, ref) -> float:
     rng = _range(a, b)
     c1 = (SSIM_K1 * rng) ** 2
     c2 = (SSIM_K2 * rng) ** 2
-    win = _gaussian_window(size, SSIM_SIGMA)
+    g = _gaussian_window(size, SSIM_SIGMA)
     vals = []
     for s in range(a.shape[0]):
         x, y = a[s], b[s]
-        mu_x = correlate(x, win, mode="valid")
-        mu_y = correlate(y, win, mode="valid")
-        var_x = correlate(x * x, win, mode="valid") - mu_x * mu_x
-        var_y = correlate(y * y, win, mode="valid") - mu_y * mu_y
-        cov = correlate(x * y, win, mode="valid") - mu_x * mu_y
+        mu_x = _blur(x, g)
+        mu_y = _blur(y, g)
+        var_x = _blur(x * x, g) - mu_x * mu_x
+        var_y = _blur(y * y, g) - mu_y * mu_y
+        cov = _blur(x * y, g) - mu_x * mu_y
         num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
         den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
         vals.append(float(np.mean(num / den)))

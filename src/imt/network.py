@@ -74,10 +74,6 @@ class ModelConfig:
             raise InvalidInputError("bn_eps must be positive")
 
     @property
-    def head_dim(self) -> int:
-        return self.channels // self.heads
-
-    @property
     def in_features(self) -> int:
         return 2 * self.patch * self.patch
 
@@ -104,8 +100,7 @@ class ParameterSet:
 
     def subset(self, prefix: str) -> dict[str, np.ndarray]:
         """Flat dict of tensors under ``prefix`` with the prefix stripped."""
-        cut = len(prefix) + 1
-        out = {n[cut:]: t for n, t in self.tensors.items() if n.startswith(prefix + ".")}
+        out = _subdict(self.tensors, prefix)
         if not out:
             raise InvalidInputError(f"no parameters under prefix {prefix!r}")
         return out
@@ -221,8 +216,7 @@ def _mha(tok, p, heads, probe=None, probe_key=None):
     q = _heads_split(_linear(tok, p["wq"], p["bq"]), heads)
     k = _heads_split(_linear(tok, p["wk"], p["bk"]), heads)
     v = _heads_split(_linear(tok, p["wv"], p["bv"]), heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), ad._lift(scale, q))
+    scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     probs = ad.softmax(scores, axis=-1)
     if probe is not None:
         probe[probe_key] = np.asarray(probs.value)
@@ -275,10 +269,7 @@ _ATTEND = {
 
 
 def _bn(x, p, cfg, train, stats=None, key=None):
-    c = x.shape[-1]
-    bshape = (1,) * (len(x.shape) - 1) + (c,)
-    gamma = ad.reshape(p["gamma"], bshape)
-    beta = ad.reshape(p["beta"], bshape)
+    # the (C,) vectors broadcast against x inside the norm primitives
     axes = tuple(range(len(x.shape) - 1))
     if train:
         if stats is not None:
@@ -287,10 +278,10 @@ def _bn(x, p, cfg, train, stats=None, key=None):
                 np.mean(xv, axis=axes).astype(np.float32),
                 np.var(xv, axis=axes).astype(np.float32),
             )
-        return ad.batch_norm_train(x, gamma, beta, axes=axes, eps=cfg.bn_eps)
-    rmean = ad.reshape(p["running_mean"], bshape)
-    rvar = ad.reshape(p["running_var"], bshape)
-    return ad.batch_norm_eval(x, gamma, beta, rmean, rvar, eps=cfg.bn_eps)
+        return ad.batch_norm_train(x, p["gamma"], p["beta"], axes=axes, eps=cfg.bn_eps)
+    return ad.batch_norm_eval(
+        x, p["gamma"], p["beta"], p["running_mean"], p["running_var"], eps=cfg.bn_eps
+    )
 
 
 def _mixer(x, p):
@@ -317,6 +308,15 @@ def _cell(x, pv, cfg, train, stats=None, probe=None, name=""):
 def _check_finite(x, layer: str):
     if not np.all(np.isfinite(x.value)):
         raise NumericalFailureError("non-finite activations", where=layer)
+
+
+def _block(x, pv, cfg, train, stats, probe, prefix):
+    """The cells ``{prefix}.cell{i}`` in turn, each output checked finite."""
+    for i in range(cfg.cells_per_block):
+        name = f"{prefix}.cell{i}"
+        x = _cell(x, _subdict(pv, name), cfg, train, stats, probe, name)
+        _check_finite(x, name)
+    return x
 
 
 def _patchify(x, p):
@@ -376,8 +376,8 @@ def forward_graph(
     """Build the forward computation on Variables.
 
     ``z`` is complex with shape (B, T, H, W); ``pv`` maps parameter names to
-    Variables. Returns the complex output plus the 2-channel views used by
-    the losses. ``stats`` collects per-norm batch statistics in train mode;
+    Variables. Returns the complex output and the 2-channel view of it that
+    the losses use. ``stats`` collects per-norm batch statistics in train mode;
     ``probe`` collects attention probabilities by unit name.
     """
     _, t, h, w = z.shape
@@ -389,25 +389,12 @@ def forward_graph(
     x2 = ad.complex_split(z, ch_axis=-1)
     hg, wg = x.shape[2], x.shape[3]
 
-    for i in range(cfg.cells_per_block):
-        name = f"stage1.cell{i}"
-        x = _cell(x, _subdict(pv, name), cfg, train, stats, probe, name)
-        _check_finite(x, name)
-
-    high = x
-    for i in range(cfg.cells_per_block):
-        name = f"stage2.high.cell{i}"
-        high = _cell(high, _subdict(pv, name), cfg, train, stats, probe, name)
-        _check_finite(high, name)
-
+    x = _block(x, pv, cfg, train, stats, probe, "stage1")
+    high = _block(x, pv, cfg, train, stats, probe, "stage2.high")
     low = ad.subsample2d(x, 2, axes=(2, 3))
     low = _linear(low, pv["stage2.down.weight"], pv["stage2.down.bias"])
     hs, ws = low.shape[2], low.shape[3]
-    low = _pad_to_window(low, cfg.window)
-    for i in range(cfg.cells_per_block):
-        name = f"stage2.low.cell{i}"
-        low = _cell(low, _subdict(pv, name), cfg, train, stats, probe, name)
-        _check_finite(low, name)
+    low = _block(_pad_to_window(low, cfg.window), pv, cfg, train, stats, probe, "stage2.low")
     if low.shape[2] != hs or low.shape[3] != ws:
         low = ad.crop2d(low, 0, 0, hs, ws, axes=(2, 3))
     up = ad.bilinear_resize2d(low, hg, wg, axes=(2, 3))
@@ -419,7 +406,7 @@ def forward_graph(
         out2 = ad.crop2d(out2, 0, 0, h, w, axes=(2, 3))
     pred2 = ad.add(x2, out2)
     output = ad.complex_join(pred2, ch_axis=-1)
-    return {"output": output, "pred2": pred2, "input2": x2}
+    return {"output": output, "pred2": pred2}
 
 
 def lift_params(
@@ -554,7 +541,7 @@ def cell_output_bound(cell_params: dict, cfg: ModelConfig, input_bound: float = 
 
     total = input_bound
     for unit in UNITS:
-        p = {k[len(unit) + 1 :]: v for k, v in cell_params.items() if k.startswith(unit + ".")}
+        p = _subdict(cell_params, unit)
         gmax = float(np.max(np.abs(p["bn.gamma"])))
         bmax = float(np.max(np.abs(p["bn.beta"])))
         b1 = gmax * 2.0 * input_bound / math.sqrt(cfg.bn_eps) + bmax

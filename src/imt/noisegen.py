@@ -27,7 +27,7 @@ from .imgstack import (
     GFactorMap,
     mean_signal_power,
 )
-from .kspace import KspaceFilterSpec, fft2, filter_mask, ifft2
+from .kspace import KspaceFilterSpec, apply_kspace_filters, filter_mask
 
 log = logging.getLogger(__name__)
 
@@ -110,13 +110,12 @@ def _slice_rng(seed: int, slice_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, slice_index]))
 
 
-def _filter_gain(spec: KspaceFilterSpec, height: int, width: int) -> float:
-    """Per-component std gain of filtering white noise with the spec's mask.
+def _filter_gain(mask: np.ndarray) -> float:
+    """Per-component std gain of filtering white noise with the k-space mask.
 
     For a real mask M and unitary transforms the output variance is the input
     variance times mean(M^2), identically for real and imaginary parts.
     """
-    mask = filter_mask(spec, height, width)
     return math.sqrt(float(np.mean(mask * mask)))
 
 
@@ -140,13 +139,10 @@ def synth_noise(
         base[s] = re + 1j * im
     base *= np.float32(spec.sigma)
     if not spec.filter.is_all_pass():
-        mask = filter_mask(spec.filter, height, width).astype(np.float32)
-        filtered = ifft2(fft2(base) * mask)
         # restore per-component std so "level sigma" means the same strength
         # under every filter choice
-        base = (filtered / np.float32(_filter_gain(spec.filter, height, width))).astype(
-            np.complex64
-        )
+        gain = np.float32(_filter_gain(filter_mask(spec.filter, height, width)))
+        base = (apply_kspace_filters(base, spec.filter) / gain).astype(np.complex64)
     weighted = base * gmap.values[None, :, :]
     return ComplexImageStack(weighted.astype(np.complex64))
 

@@ -28,7 +28,7 @@ from .errors import (
     InvalidStateError,
     NumericalFailureError,
 )
-from .imgstack import ComplexImageStack, GFactorMap, mean_signal_power, DEFAULT_TARGET_POWER
+from .imgstack import ComplexImageStack, GFactorMap, power_normalize
 from .kspace import kspace_resize
 from .noisegen import SIGMA_TRAINING_RANGE, GmapModel, NoiseSpec, make_gmap, make_training_pair
 from .network import (
@@ -466,17 +466,23 @@ def augment(pair, rng, *, flips=True, intensity=True, resize=True):
         ComplexImageStack(np.ascontiguousarray(c)),
     )
     if resize:
-        ratio = 0.5 + rng.random()
-        try:
-            out = (kspace_resize(out[0], ratio), kspace_resize(out[1], ratio))
-        except InvalidInputError:
-            log.warning(
-                "resize ratio %.3f underflows %dx%d, skipping resize",
-                ratio,
-                noisy.height,
-                noisy.width,
-            )
+        out = _resize_pair(out, 0.5 + rng.random())
     return out
+
+
+def _resize_pair(pair, ratio):
+    """k-space resize both halves of a pair; a resize that would underflow
+    the minimum matrix size leaves the pair as it is and is logged."""
+    try:
+        return kspace_resize(pair[0], ratio), kspace_resize(pair[1], ratio)
+    except InvalidInputError:
+        log.warning(
+            "resize ratio %.3f underflows %dx%d, skipping resize",
+            ratio,
+            pair[0].height,
+            pair[0].width,
+        )
+        return pair
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +520,10 @@ def _materialize(dataset):
 def _sample_pair(rng, example, t_depth, patch, sigma_range, augmenting, ratio):
     """Crop, noise, normalize, and optionally augment one training sample.
 
-    Normalization scales both halves by the clean patch's k_n, so the noise
-    component sits at exactly sigma in network units. The resize ratio is
-    drawn once per step by the caller (batch samples must stay stackable).
+    Normalization scales both halves by the clean patch's power_normalize
+    factor k_n, so the noise component sits at exactly sigma in network
+    units. The resize ratio is drawn once per step by the caller (batch
+    samples must stay stackable).
     """
     stack, gvals = example
     s0 = int(rng.integers(stack.slices - t_depth + 1))
@@ -529,15 +536,12 @@ def _sample_pair(rng, example, t_depth, patch, sigma_range, augmenting, ratio):
     seed = int(rng.integers(2**63))
     gpatch = GFactorMap(np.ascontiguousarray(gvals[y0 : y0 + patch, x0 : x0 + patch]))
     noisy, clean = make_training_pair(clean, NoiseSpec(sigma=sigma, seed=seed), gpatch)
-    k = np.float32(math.sqrt(DEFAULT_TARGET_POWER / mean_signal_power(clean)))
-    pair = (ComplexImageStack(noisy.data * k), ComplexImageStack(clean.data * k))
+    clean, norm = power_normalize(clean)
+    pair = (ComplexImageStack(noisy.data * np.float32(norm.k_n)), clean)
     if augmenting:
         pair = augment(pair, rng, resize=False)
         if ratio is not None:
-            try:
-                pair = (kspace_resize(pair[0], ratio), kspace_resize(pair[1], ratio))
-            except InvalidInputError:
-                log.warning("resize ratio %.3f underflows %dx%d, skipped", ratio, patch, patch)
+            pair = _resize_pair(pair, ratio)
     return pair
 
 

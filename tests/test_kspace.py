@@ -143,6 +143,14 @@ class TestFilterSpec:
         out = apply_kspace_filters(img, spec)
         manual = ifft2(fft2(img) * filter_mask(spec, 8, 8).astype(np.float32))
         assert np.allclose(out, manual, atol=1e-6)
+        # a stack is filtered slice by slice; fewer than 2 dims is rejected
+        stack = np.stack([img, 2 * img, img.conj()])
+        assert np.array_equal(
+            apply_kspace_filters(stack, spec),
+            np.stack([apply_kspace_filters(s, spec) for s in stack]),
+        )
+        with pytest.raises(InvalidInputError):
+            apply_kspace_filters(img[0], spec)
 
 
 class TestResize:

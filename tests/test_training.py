@@ -1,5 +1,6 @@
 """Losses, optimizer, augmentation, and training-loop behavior."""
 
+import hashlib
 import logging
 import math
 from pathlib import Path
@@ -18,7 +19,15 @@ from imt.errors import (
     TruncationError,
 )
 from imt.imgstack import ComplexImageStack, mean_signal_power
-from imt.network import ModelConfig, ParameterSet, forward, load_checkpoint
+from imt.network import (
+    ModelConfig,
+    ParameterSet,
+    forward,
+    forward_graph,
+    init_params,
+    lift_params,
+    load_checkpoint,
+)
 from imt.noisegen import GmapModel
 
 
@@ -422,6 +431,41 @@ def test_hessian_estimate_deterministic_given_seed():
     e1 = tr.hessian_diag_estimate(loss, point, np.random.default_rng(9))["p"]
     e2 = tr.hessian_diag_estimate(loss, point, np.random.default_rng(9))["p"]
     assert np.array_equal(e1, e2)
+
+
+# SHA-256 of the gradient and Hessian-vector-product bytes below, taken before
+# the norm and softmax VJPs stopped building broadcast copies; it pins the
+# second-order bits of the graph. It holds for one numpy/BLAS build: on
+# another, retake it at a commit whose outputs are known to be right.
+SECOND_ORDER_SHA256 = "8525b2f0c4b9e30f92c3519b0de88e126f891a5c43d702da5c547f2bca9bd719"
+
+
+def test_second_order_step_golden_sha256():
+    cfg = ModelConfig(channels=8, heads=2, window=4, patch=1, slice_depth=4)
+    rng = np.random.default_rng(17)
+    base = init_params(cfg, 0)
+    params = ParameterSet(
+        {
+            n: (t + 0.05 * rng.standard_normal(t.shape)).astype(np.float32)
+            for n, t in base.tensors.items()
+        },
+        0,
+    )
+    # 6x10 is padded to window multiples and cropped back
+    z = rng.standard_normal((1, 2, 6, 10)) + 1j * rng.standard_normal((1, 2, 6, 10))
+    target2 = rng.standard_normal((1, 2, 6, 10, 2)).astype(np.float32)
+    fe = tr.FeatureExtractor(seed=0)
+    with ad.Tape():
+        pv = lift_params(params, trainable=True)
+        wrt = [pv[n] for n in params.trainable_names()]
+        out = forward_graph(ad.constant(z.astype(np.complex64)), pv, cfg, train=True)
+        loss = tr._combined_graph(out["pred2"], target2, tr.LossConfig(), fe)
+        gs = ad.backward(loss, wrt, create_graph=True)
+        hvp = tr._hutchinson(gs, wrt, np.random.default_rng(5))
+    digest = hashlib.sha256()
+    for a in [g.value for g in gs] + hvp:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == SECOND_ORDER_SHA256
 
 
 # ---------------------------------------------------------------------------
