@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, check_fields
 from .network import ModelConfig
 from .noisegen import GmapModel
 from .training import LossConfig, TrainConfig
@@ -35,10 +35,7 @@ class DataConfig:
     val_fraction: float | None = None
 
     def __post_init__(self):
-        if self.val_fraction is not None and not (0.0 < self.val_fraction < 1.0):
-            raise InvalidInputError(
-                f"val_fraction must be in (0, 1), got {self.val_fraction}"
-            )
+        check_fields(self, val_fraction="(0, 1)")
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ def _build_section(name: str, cls, payload: dict):
         raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
     try:
         return cls(**payload)
-    except (InvalidInputError, TypeError, ValueError) as exc:
+    except InvalidInputError as exc:
         raise ConfigError(f"invalid section {name!r}: {exc}") from exc
 
 
@@ -87,6 +84,6 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int too long to parse
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return run_config_from_dict(doc)

@@ -31,8 +31,8 @@ def atomic_write(path, *chunks) -> None:
     array) written as it is, so a large payload is never copied into one
     buffer. The bytes go to a uniquely named sibling opened with mode ``"xb"``
     (so the file mode follows the umask), are fsynced, then renamed over
-    ``path``. On any error the sibling is removed and ``path`` is left as it
-    was.
+    ``path``, and the directory is fsynced after the rename. On any error
+    before the rename the sibling is removed and ``path`` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -47,6 +47,12 @@ def atomic_write(path, *chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    # the rename itself is durable only once the directory entry is synced
+    dirfd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dirfd)
+    finally:
+        os.close(dirfd)
 
 
 def write(path, magic: bytes, manifest: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -81,7 +87,7 @@ def read(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise TruncationError(f"{path}: manifest truncated", offset=len(raw))
     try:
         manifest = json.loads(raw[_HEADER_LEN:base].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad JSON, an int too long to parse
         raise FormatError(f"{path}: unreadable manifest: {exc}", offset=_HEADER_LEN) from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), dict):
         raise FormatError(f"{path}: manifest missing 'tensors'", offset=_HEADER_LEN)
@@ -89,10 +95,8 @@ def read(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
     tensors, ranges = {}, []
     for name, entry in manifest["tensors"].items():
         try:
-            dtype = entry["dtype"]
-            shape = tuple(int(s) for s in entry["shape"])
-            start = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
+            dtype, shape, start = entry["dtype"], tuple(entry["shape"]), entry["offset"]
+        except (KeyError, TypeError) as exc:
             raise FormatError(
                 f"{path}: bad manifest entry for tensor {name!r}: {exc!r}", offset=_HEADER_LEN
             ) from exc
@@ -100,17 +104,20 @@ def read(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(
                 f"{path}: tensor {name!r} has unsupported dtype {dtype!r}", offset=_HEADER_LEN
             )
-        if start < 0 or any(s < 0 for s in shape):
+        if any(type(n) is not int or n < 0 for n in (start, *shape)):
             raise FormatError(
-                f"{path}: tensor {name!r} has negative offset or shape", offset=_HEADER_LEN
+                f"{path}: tensor {name!r} needs a non-negative integer offset and shape",
+                offset=_HEADER_LEN,
             )
         count = math.prod(shape)
         stop = start + 4 * count
         if stop > size:
             raise TruncationError(f"{path}: payload ends inside tensor {name!r}", offset=len(raw))
-        tensors[name] = (
-            np.frombuffer(raw, dtype="<f4", count=count, offset=base + start).reshape(shape).copy()
-        )
+        try:  # an empty tensor can still claim a dimension no array may have
+            flat = np.frombuffer(raw, dtype="<f4", count=count, offset=base + start)
+            tensors[name] = flat.reshape(shape).copy()
+        except ValueError as exc:
+            raise FormatError(f"{path}: tensor {name!r}: {exc}", offset=_HEADER_LEN) from exc
         ranges.append((start, stop, name))
     end = 0
     for start, stop, name in sorted(ranges):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_fields
 from .imgstack import ComplexImageStack
 
 
@@ -61,21 +61,11 @@ class KspaceFilterSpec:
     gaussian_width_read: float | None = None
     axis_phase: int = 0
 
-    def validate(self) -> None:
-        if not (0.0 < self.resolution_reduction_keep <= 1.0):
-            raise InvalidInputError(
-                f"resolution_reduction_keep must be in (0, 1], got {self.resolution_reduction_keep}"
-            )
-        if not (0.5 < self.partial_fourier_fraction <= 1.0):
-            raise InvalidInputError(
-                f"partial_fourier_fraction must be in (0.5, 1], got {self.partial_fourier_fraction}"
-            )
-        for name in ("gaussian_width_phase", "gaussian_width_read"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise InvalidInputError(f"{name} must be positive when present, got {v}")
-        if self.axis_phase not in (0, 1):
-            raise InvalidInputError(f"axis_phase must be 0 or 1, got {self.axis_phase}")
+    def __post_init__(self):
+        check_fields(
+            self, resolution_reduction_keep="(0, 1]", partial_fourier_fraction="(0.5, 1]",
+            axis_phase=(0, 1),
+        )
 
     def is_all_pass(self) -> bool:
         return (
@@ -105,7 +95,6 @@ def filter_mask(spec: KspaceFilterSpec, height: int, width: int) -> np.ndarray:
     Exposed so tests (and the noise-variance renormalization) can inspect the
     mask rather than infer it from filtered output.
     """
-    spec.validate()
     axis_masks = []
     for axis, n in ((0, height), (1, width)):
         kept = int(math.floor(spec.resolution_reduction_keep * n + 0.5))

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import t as student_t
 
 from .container import atomic_write
-from .errors import DegenerateInputError, FormatError, InvalidInputError
+from .errors import DegenerateInputError, FormatError, InvalidInputError, check_fields
 from .imgstack import ComplexImageStack
 
 log = logging.getLogger(__name__)
@@ -70,7 +70,10 @@ def psnr(test, ref) -> float:
     +inf, which propagates to the mean; report it as the string "inf", never
     a substitute number.
     """
-    a, b = _magnitude_pair(test, ref)
+    return _psnr(*_magnitude_pair(test, ref))
+
+
+def _psnr(a: np.ndarray, b: np.ndarray) -> float:
     rng = _range(a, b)
     vals = []
     for s in range(a.shape[0]):
@@ -99,7 +102,10 @@ def ssim(test, ref) -> float:
     pair-union dynamic range. Slices smaller than the window reduce it to the
     largest odd size that fits (logged).
     """
-    a, b = _magnitude_pair(test, ref)
+    return _ssim(*_magnitude_pair(test, ref))
+
+
+def _ssim(a: np.ndarray, b: np.ndarray) -> float:
     if np.array_equal(a, b):
         return 1.0
     _, h, w = a.shape
@@ -135,7 +141,10 @@ def nrmse(test, ref, mode: str = "signal") -> float:
     """
     if mode not in ("signal", "range"):
         raise InvalidInputError(f"unknown nrmse mode {mode!r}")
-    a, b = _magnitude_pair(test, ref)
+    return _nrmse(*_magnitude_pair(test, ref), mode)
+
+
+def _nrmse(a: np.ndarray, b: np.ndarray, mode: str = "signal") -> float:
     if mode == "signal":
         denom = float(np.linalg.norm(b))
         if denom == 0.0:
@@ -278,9 +287,9 @@ class MetricsReport:
 
 
 def evaluate_case(case_id: str, test, ref) -> CaseMetrics:
-    # convert once; magnitude_stack passes float64 magnitudes on without a cast
+    # convert once: the public metrics would each copy the pair again
     a, b = _magnitude_pair(test, ref)
-    return CaseMetrics(case_id=case_id, psnr=psnr(a, b), ssim=ssim(a, b), nrmse=nrmse(a, b))
+    return CaseMetrics(case_id=case_id, psnr=_psnr(a, b), ssim=_ssim(a, b), nrmse=_nrmse(a, b))
 
 
 def build_report(entries) -> MetricsReport:
@@ -360,10 +369,7 @@ class RaterScore:
     overall: int
 
     def __post_init__(self):
-        for name in CRITERIA:
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 1 <= v <= 5:
-                raise InvalidInputError(f"{name} score must be an integer in 1..5, got {v!r}")
+        check_fields(self, **dict.fromkeys(CRITERIA, range(1, 6)))
 
 
 def read_rater_csv(path) -> list:

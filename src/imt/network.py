@@ -24,19 +24,18 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .errors import (
+    SIZE,
     CheckpointMismatchError,
     FormatError,
     InvalidInputError,
     NumericalFailureError,
+    check_fields,
 )
 from .imgstack import ComplexImageStack
 
 UNITS = ("slice", "local", "global")
 
 _CKPT_MAGIC = b"IMTCKPT1"
-
-# elements, not bytes; guards index math everywhere downstream
-_MAX_GRID_ELEMENTS = 2**31
 
 
 @dataclass(frozen=True)
@@ -54,24 +53,11 @@ class ModelConfig:
     mixer_expansion: int = 2
 
     def __post_init__(self):
-        if self.channels < 1 or self.heads < 1:
-            raise InvalidInputError("channels and heads must be positive")
+        check_fields(self, cells_per_block=(2, 3), bn_momentum="(0, 1]")
         if self.channels % self.heads != 0:
             raise InvalidInputError(
                 f"channels ({self.channels}) must be divisible by heads ({self.heads})"
             )
-        if self.cells_per_block not in (2, 3):
-            raise InvalidInputError(
-                f"cells_per_block must be 2 or 3, got {self.cells_per_block}"
-            )
-        if self.window < 1 or self.patch < 1 or self.slice_depth < 1:
-            raise InvalidInputError("window, patch and slice_depth must be positive")
-        if self.mixer_expansion < 1:
-            raise InvalidInputError("mixer_expansion must be positive")
-        if not (0.0 < self.bn_momentum <= 1.0):
-            raise InvalidInputError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
-        if self.bn_eps <= 0:
-            raise InvalidInputError("bn_eps must be positive")
 
     @property
     def in_features(self) -> int:
@@ -144,6 +130,50 @@ class FeatureGrid:
 # ---------------------------------------------------------------------------
 # initialization
 
+def _param_table(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], object]]:
+    """Name -> (shape, init) of every tensor ``cfg`` implies, in draw order.
+
+    ``init`` is the std of a normal draw, or ``np.zeros``/``np.ones``. The
+    table holds no arrays, so a checkpoint can be checked against a config
+    of any size before anything is allocated.
+    """
+    c = cfg.channels
+    e = cfg.mixer_expansion * c
+    f = cfg.in_features
+    t = {}
+    t["embed.weight"] = ((f, c), 1.0 / math.sqrt(f))
+    t["embed.bias"] = ((c,), np.zeros)
+    t["embed.pos_bias"] = ((cfg.window, cfg.window, c), 0.02)
+    t["embed.slice_bias"] = ((cfg.slice_depth, c), 0.02)
+
+    def cell(prefix):
+        for unit in UNITS:
+            u = f"{prefix}.{unit}"
+            t[f"{u}.bn.gamma"] = ((c,), np.ones)
+            t[f"{u}.bn.beta"] = ((c,), np.zeros)
+            t[f"{u}.bn.running_mean"] = ((c,), np.zeros)
+            t[f"{u}.bn.running_var"] = ((c,), np.ones)
+            for w in ("wq", "wk", "wv", "wo"):
+                t[f"{u}.attn.{w}"] = ((c, c), 1.0 / math.sqrt(c))
+            for b in ("bq", "bk", "bv", "bo"):
+                t[f"{u}.attn.{b}"] = ((c,), np.zeros)
+            t[f"{u}.mixer.w1"] = ((c, e), 1.0 / math.sqrt(c))
+            t[f"{u}.mixer.b1"] = ((e,), np.zeros)
+            t[f"{u}.mixer.w2"] = ((e, c), 1.0 / math.sqrt(e))
+            t[f"{u}.mixer.b2"] = ((c,), np.zeros)
+
+    for i in range(cfg.cells_per_block):
+        cell(f"stage1.cell{i}")
+    t["stage2.down.weight"] = ((c, c), 1.0 / math.sqrt(c))
+    t["stage2.down.bias"] = ((c,), np.zeros)
+    for i in range(cfg.cells_per_block):
+        cell(f"stage2.high.cell{i}")
+        cell(f"stage2.low.cell{i}")
+    t["head.weight"] = ((c, f), np.zeros)
+    t["head.bias"] = ((f,), np.zeros)
+    return t
+
+
 def init_params(cfg: ModelConfig, init_seed: int = 0) -> ParameterSet:
     """Deterministic initialization from a counter-based stream.
 
@@ -152,43 +182,12 @@ def init_params(cfg: ModelConfig, init_seed: int = 0) -> ParameterSet:
     a fresh network is the identity map.
     """
     rng = np.random.Generator(np.random.Philox(key=[init_seed, 0]))
-    c = cfg.channels
-    e = cfg.mixer_expansion * c
-    t: dict[str, np.ndarray] = {}
-
-    def normal(shape, std):
-        return (rng.standard_normal(shape) * std).astype(np.float32)
-
-    t["embed.weight"] = normal((cfg.in_features, c), 1.0 / math.sqrt(cfg.in_features))
-    t["embed.bias"] = np.zeros(c, dtype=np.float32)
-    t["embed.pos_bias"] = normal((cfg.window, cfg.window, c), 0.02)
-    t["embed.slice_bias"] = normal((cfg.slice_depth, c), 0.02)
-
-    def cell(prefix):
-        for unit in UNITS:
-            u = f"{prefix}.{unit}"
-            t[f"{u}.bn.gamma"] = np.ones(c, dtype=np.float32)
-            t[f"{u}.bn.beta"] = np.zeros(c, dtype=np.float32)
-            t[f"{u}.bn.running_mean"] = np.zeros(c, dtype=np.float32)
-            t[f"{u}.bn.running_var"] = np.ones(c, dtype=np.float32)
-            for w in ("wq", "wk", "wv", "wo"):
-                t[f"{u}.attn.{w}"] = normal((c, c), 1.0 / math.sqrt(c))
-            for b in ("bq", "bk", "bv", "bo"):
-                t[f"{u}.attn.{b}"] = np.zeros(c, dtype=np.float32)
-            t[f"{u}.mixer.w1"] = normal((c, e), 1.0 / math.sqrt(c))
-            t[f"{u}.mixer.b1"] = np.zeros(e, dtype=np.float32)
-            t[f"{u}.mixer.w2"] = normal((e, c), 1.0 / math.sqrt(e))
-            t[f"{u}.mixer.b2"] = np.zeros(c, dtype=np.float32)
-
-    for i in range(cfg.cells_per_block):
-        cell(f"stage1.cell{i}")
-    t["stage2.down.weight"] = normal((c, c), 1.0 / math.sqrt(c))
-    t["stage2.down.bias"] = np.zeros(c, dtype=np.float32)
-    for i in range(cfg.cells_per_block):
-        cell(f"stage2.high.cell{i}")
-        cell(f"stage2.low.cell{i}")
-    t["head.weight"] = np.zeros((c, cfg.in_features), dtype=np.float32)
-    t["head.bias"] = np.zeros(cfg.in_features, dtype=np.float32)
+    t = {}
+    for name, (shape, init) in _param_table(cfg).items():
+        if callable(init):
+            t[name] = init(shape, dtype=np.float32)
+        else:
+            t[name] = (rng.standard_normal(shape) * init).astype(np.float32)
     return ParameterSet(t, init_seed)
 
 
@@ -349,7 +348,8 @@ def _embed(z, pv, cfg):
     b, t, h, w = z.shape
     wp = cfg.window * cfg.patch
     ph, pw = (-h) % wp, (-w) % wp
-    if (h + ph) * (w + pw) * t * b * cfg.channels > _MAX_GRID_ELEMENTS:
+    # elements, not bytes; guards index math everywhere downstream
+    if (h + ph) * (w + pw) * t * b * cfg.channels > SIZE.stop:
         raise InvalidInputError("dimension overflow after padding")
     if ph or pw:
         z = ad.reflect_pad2d(z, ((0, ph), (0, pw)), axes=(2, 3))
@@ -572,9 +572,12 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, dict]:
             raise FormatError(f"{path}: manifest missing {key!r}", offset=16)
     try:
         cfg = ModelConfig(**manifest["config"])
-        init_seed = int(manifest["init_seed"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad config in manifest: {exc}", offset=16) from exc
+    init_seed = manifest["init_seed"]
+    # the seed is a Philox key word
+    if type(init_seed) is not int or not 0 <= init_seed < 2**64:
+        raise FormatError(f"{path}: init_seed must be an integer in [0, 2**64)", offset=16)
     return ParameterSet(tensors, init_seed), cfg, manifest.get("extra", {})
 
 
@@ -584,7 +587,7 @@ def verify_checkpoint(params: ParameterSet, cfg: ModelConfig) -> None:
     A structurally valid file can still carry weights for a different
     architecture; this catches that before inference runs on garbage.
     """
-    expected = init_params(cfg, params.init_seed).tensors
+    expected = _param_table(cfg)
     missing = sorted(set(expected) - set(params.tensors))
     if missing:
         raise CheckpointMismatchError(f"checkpoint is missing tensor {missing[0]!r}")
@@ -592,7 +595,7 @@ def verify_checkpoint(params: ParameterSet, cfg: ModelConfig) -> None:
     if extra:
         raise CheckpointMismatchError(f"checkpoint has unexpected tensor {extra[0]!r}")
     for name in expected:
-        want, got = expected[name].shape, params.tensors[name].shape
+        want, got = expected[name][0], params.tensors[name].shape
         if want != got:
             raise CheckpointMismatchError(
                 f"checkpoint tensor {name!r} has shape {got}, config implies {want}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, check_fields
 from .imgstack import (
     DEFAULT_TARGET_POWER,
     ComplexImageStack,
@@ -48,11 +48,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise InvalidInputError(f"sigma must be positive and finite, got {self.sigma}")
-        if not (0 <= self.seed < 2**64):
-            raise InvalidInputError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        self.filter.validate()
+        # the seed is a Philox key word
+        check_fields(self, seed=range(2**64))
         lo, hi = SIGMA_TRAINING_RANGE
         if not (lo <= self.sigma <= hi):
             log.warning(
@@ -74,10 +71,7 @@ class GmapModel:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "radial_ramp", "file"):
-            raise InvalidInputError(f"unknown gmap kind {self.kind!r}")
-        if self.alpha < 0:
-            raise InvalidInputError(f"alpha must be >= 0, got {self.alpha}")
+        check_fields(self, kind=("uniform", "radial_ramp", "file"), alpha="[0, inf)")
         if self.kind == "file" and not self.path:
             raise InvalidInputError("gmap kind 'file' requires a path")
 

@@ -23,10 +23,12 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .errors import (
+    SIZE,
     FormatError,
     InvalidInputError,
     InvalidStateError,
     NumericalFailureError,
+    check_fields,
 )
 from .imgstack import ComplexImageStack, GFactorMap, power_normalize
 from .kspace import kspace_resize
@@ -62,16 +64,8 @@ class LossConfig:
     charbonnier_reduction: str = "per_element_mean"
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.perceptual_weight >= 0 and math.isfinite(self.perceptual_weight)):
-            raise InvalidInputError(
-                f"perceptual_weight must be >= 0, got {self.perceptual_weight}"
-            )
-        if self.charbonnier_reduction not in ("per_element_mean", "paper_literal_global"):
-            raise InvalidInputError(
-                f"unknown charbonnier_reduction {self.charbonnier_reduction!r}"
-            )
+        reductions = ("per_element_mean", "paper_literal_global")
+        check_fields(self, perceptual_weight="[0, inf)", charbonnier_reduction=reductions)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +86,9 @@ class FeatureExtractor:
     def __init__(self, kind="fixed_random", seed=0, channels=(8, 16, 32, 32), weights=None):
         if kind not in self.KINDS:
             raise InvalidInputError(f"unknown feature extractor kind {kind!r}")
-        channels = tuple(int(c) for c in channels)
-        if not channels or any(c < 1 for c in channels):
-            raise InvalidInputError(f"channels must be positive, got {channels}")
+        if not channels or any(type(c) is not int or c < 1 for c in channels):
+            raise InvalidInputError(f"channels must be positive integers, got {channels!r}")
+        channels = tuple(channels)
         self.kind = kind
         self.seed = int(seed)
         self.channels = channels
@@ -319,32 +313,14 @@ class TrainConfig:
     augment: bool = True
 
     def __post_init__(self):
-        positives = {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "batch": self.batch,
-            "steps_per_epoch": self.steps_per_epoch,
-            "rho": self.rho,
-            "hessian_update_every": self.hessian_update_every,
-            "val_samples": self.val_samples,
-        }
-        for name, v in positives.items():
-            if not v > 0:
-                raise InvalidInputError(f"{name} must be positive, got {v}")
-        object.__setattr__(self, "patch_sizes", tuple(int(p) for p in self.patch_sizes))
-        object.__setattr__(self, "sigma_range", tuple(float(s) for s in self.sigma_range))
-        if not self.patch_sizes or any(p < 8 for p in self.patch_sizes):
-            raise InvalidInputError(f"patch sizes must be >= 8, got {self.patch_sizes}")
-        if not (0 < self.val_fraction < 1):
-            raise InvalidInputError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        lo, hi = self.sigma_range
-        if not (0 < lo <= hi):
+        # the seed is a Philox key word
+        check_fields(
+            self, patch_sizes=range(8, SIZE.stop), seed=range(2**32), val_fraction="(0, 1)"
+        )
+        if not self.patch_sizes:
+            raise InvalidInputError("patch_sizes must not be empty")
+        if self.sigma_range[0] > self.sigma_range[1]:
             raise InvalidInputError(f"bad sigma_range {self.sigma_range}")
-        if not (0 <= self.seed < 2**32):
-            raise InvalidInputError(f"seed must fit in 32 bits, got {self.seed}")
 
 
 @dataclass
@@ -626,8 +602,8 @@ def train(
             "step": step,
             "val_loss": val,
             "baseline_val_loss": baseline_val,
-            "train_config": _jsonable(asdict(train_cfg)),
-            "loss_config": _jsonable(asdict(loss_cfg)),
+            "train_config": asdict(train_cfg),
+            "loss_config": asdict(loss_cfg),
         }
 
     step = 0
@@ -718,15 +694,3 @@ def train(
         baseline_val_loss=baseline_val,
         steps=total_steps,
     )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj

@@ -20,6 +20,23 @@ def small_stack(rng):
     return ComplexImageStack(data)
 
 
+def _rewrite_manifest(valid, out, edit):
+    """Copy the tensor-container file ``valid`` to ``out`` with its manifest
+    passed through ``edit``; returns ``out``."""
+    raw = valid.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + mlen])
+    edit(manifest)
+    mb = json.dumps(manifest).encode()
+    out.write_bytes(raw[:8] + struct.pack("<Q", len(mb)) + mb + raw[16 + mlen :])
+    return out
+
+
+@pytest.fixture(scope="session")
+def rewrite_manifest():
+    return _rewrite_manifest
+
+
 @pytest.fixture
 def corrupt_containers(tmp_path):
     """Malformed copies of a valid tensor-container file.
@@ -32,24 +49,21 @@ def corrupt_containers(tmp_path):
     """
 
     def variants(valid, a, b, **fields):
-        raw = valid.read_bytes()
-        (mlen,) = struct.unpack("<Q", raw[8:16])
         edits = {
             "trailing payload bytes": lambda m: None,
             "float64 entry": lambda m: m["tensors"][a].update(dtype="float64"),
             "overlapping ranges": lambda m: m["tensors"][b].update(offset=m["tensors"][a]["offset"]),
             "entry without shape": lambda m: m["tensors"][a].pop("shape"),
             "negative offset": lambda m: m["tensors"][a].update(offset=-8),
+            "infinite offset": lambda m: m["tensors"][a].update(offset=float("inf")),
+            "empty tensor, huge dimension": lambda m: m["tensors"][a].update(shape=[0, 2**61]),
         }
         for key, value in fields.items():
             edits[f"bad {key}"] = lambda m, key=key, value=value: m.update({key: value})
         for i, (label, edit) in enumerate(edits.items()):
-            manifest = json.loads(raw[16 : 16 + mlen])
-            edit(manifest)
-            mb = json.dumps(manifest).encode()
-            tail = b"\0" * 4 if label == "trailing payload bytes" else b""
-            path = tmp_path / f"corrupt{i}{valid.suffix}"
-            path.write_bytes(raw[:8] + struct.pack("<Q", len(mb)) + mb + raw[16 + mlen :] + tail)
+            path = _rewrite_manifest(valid, tmp_path / f"corrupt{i}{valid.suffix}", edit)
+            if label == "trailing payload bytes":
+                path.write_bytes(path.read_bytes() + b"\0" * 4)
             yield label, path
 
     return variants

@@ -177,6 +177,44 @@ def test_train_bad_config(work, phantom_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("model", "window", 2.5),
+        ("model", "channels", 1e300),
+        ("model", "heads", True),
+        ("model", "bn_eps", float("nan")),
+        ("train", "batch", 2**70),
+        ("train", "lr", float("inf")),
+        ("train", "seed", 1.5),
+        ("train", "patch_sizes", [8.7]),
+        ("train", "augment", "no"),
+        ("noise", "alpha", float("nan")),
+        ("data", "train_dir", 5),
+    ],
+)
+def test_train_bad_config_value_exits_2(work, phantom_dir, run_config, capsys,
+                                        section, key, value):
+    doc = json.loads(run_config.read_text())
+    doc.setdefault(section, {})[key] = value
+    bad = work / "bad_value.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(bad), "--data", str(phantom_dir),
+                 "--out", str(work / "t5")])
+    assert code == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_train_overlong_integer_exits_2(work, phantom_dir, capsys):
+    # json.loads refuses an int of more than 4300 digits with a plain ValueError
+    bad = work / "long_int.json"
+    bad.write_text('{"train": {"seed": ' + "1" * 5000 + "}}")
+    code = main(["train", "--config", str(bad), "--data", str(phantom_dir),
+                 "--out", str(work / "t6")])
+    assert code == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_train_divergence_exits_3(work, phantom_dir, capsys):
     cfg = work / "diverge.json"
     cfg.write_text(json.dumps({
@@ -258,6 +296,37 @@ def test_denoise_corrupt_checkpoint_exits_2(work, phantom_dir, tmp_path, corrupt
                      "--out", str(work / "never2.imts")])
         assert code == 2, label
     assert not (work / "never2.imts").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, code",
+    [
+        ("init_seed", 2**70, 2),
+        ("window", 2**70, 2),
+        ("patch", 2**70, 2),
+        ("mixer_expansion", 2**70, 2),
+        ("channels", 1e300, 2),
+        ("slice_depth", 1e300, 2),
+        ("heads", True, 2),
+        # in bounds, but the tensors it implies would be terabytes: the
+        # shapes are checked without allocating them
+        ("window", 2**20, 4),
+    ],
+)
+def test_denoise_bad_manifest_value(work, phantom_dir, tmp_path, rewrite_manifest, capsys,
+                                    key, value, code):
+    valid = tmp_path / "valid.ckpt"
+    save_checkpoint(valid, init_params(SMALL_MODEL, 0), SMALL_MODEL)
+
+    def edit(manifest):
+        (manifest if key == "init_seed" else manifest["config"])[key] = value
+
+    bad = rewrite_manifest(valid, tmp_path / "bad.ckpt", edit)
+    out = tmp_path / "never.imts"
+    assert main(["denoise", "--model", str(bad), "--in", str(phantom_dir / "phantom_000.imts"),
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("imt: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,19 @@ def test_leftover_temp_file_neither_blocks_nor_is_taken(tmp_path):
 
 
 def test_written_file_is_synced_before_rename(tmp_path, monkeypatch):
+    # the file is synced before the rename, and its directory after it
     calls = []
     fsync, replace = os.fsync, os.replace
-    monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+
+    def record_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(f"fsync {kind}")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
     monkeypatch.setattr(os, "replace", lambda a, b: calls.append("replace") or replace(a, b))
     atomic_write(tmp_path / "out", b"x")
-    assert calls == ["fsync", "replace"]
+    assert calls == ["fsync file", "replace", "fsync dir"]
 
 
 def test_file_mode_follows_umask(tmp_path):

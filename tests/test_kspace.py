@@ -79,16 +79,16 @@ class TestTransforms:
 class TestFilterSpec:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            KspaceFilterSpec(resolution_reduction_keep=0.0).validate()
+            KspaceFilterSpec(resolution_reduction_keep=0.0)
         with pytest.raises(InvalidInputError):
-            KspaceFilterSpec(resolution_reduction_keep=1.2).validate()
+            KspaceFilterSpec(resolution_reduction_keep=1.2)
         with pytest.raises(InvalidInputError):
-            KspaceFilterSpec(partial_fourier_fraction=0.5).validate()
+            KspaceFilterSpec(partial_fourier_fraction=0.5)
         with pytest.raises(InvalidInputError):
-            KspaceFilterSpec(gaussian_width_phase=-1.0).validate()
+            KspaceFilterSpec(gaussian_width_phase=-1.0)
         with pytest.raises(InvalidInputError):
-            KspaceFilterSpec(axis_phase=2).validate()
-        KspaceFilterSpec().validate()
+            KspaceFilterSpec(axis_phase=2)
+        KspaceFilterSpec()
 
     def test_all_pass_detection(self):
         assert KspaceFilterSpec().is_all_pass()

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.stats import t as student_t
 
 from imt import metrics as mx
 from imt.errors import DegenerateInputError, FormatError, InvalidInputError
+from imt.imgstack import ComplexImageStack
 
 
 def random_mags(rng, shape=(2, 16, 16), lo=1.0, hi=3.0):
@@ -327,6 +329,29 @@ def test_case_metrics_validation():
         mx.CaseMetrics("x", psnr=10.0, ssim=1.5, nrmse=0.1)
     with pytest.raises(InvalidInputError):
         mx.CaseMetrics("x", psnr=10.0, ssim=0.5, nrmse=-0.1)
+
+
+def test_evaluate_case_converts_each_stack_once(rng):
+    shape = (16, 64, 64)
+    test, ref = (
+        ComplexImageStack(
+            (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
+        )
+        for _ in range(2)
+    )
+    payload = math.prod(shape) * 8  # one float64 magnitude stack
+    tracemalloc.start()
+    try:
+        case = mx.evaluate_case("c", test, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two magnitude stacks, plus one complex128 copy while the second is
+    # converted; a metric that converts the pair again adds two payloads
+    assert peak < 4.25 * payload
+    assert case == mx.CaseMetrics(
+        "c", mx.psnr(test, ref), mx.ssim(test, ref), mx.nrmse(test, ref)
+    )
 
 
 def test_build_report_needs_cases():

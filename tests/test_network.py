@@ -495,6 +495,16 @@ class TestCheckpoint:
         with pytest.raises(TruncationError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("seed", [2**64, 2**70, -1, 1.5, True, "7", None])
+    def test_init_seed_must_be_a_philox_key_word(self, tmp_path, rewrite_manifest, seed):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(tiny_cfg(), 0), tiny_cfg())
+        rewrite_manifest(path, path, lambda m: m.update(init_seed=2**64 - 1))
+        assert load_checkpoint(path)[0].init_seed == 2**64 - 1
+        rewrite_manifest(path, path, lambda m: m.update(init_seed=seed))
+        with pytest.raises(FormatError, match="init_seed"):
+            load_checkpoint(path)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         import json
         import struct
