@@ -83,7 +83,10 @@ def cmd_phantom(args) -> int:
 def _parse_gmap_model(text: str) -> GmapModel:
     kind, _, alpha = text.partition(":")
     if kind == "radial_ramp":
-        return GmapModel(kind="radial_ramp", alpha=float(alpha) if alpha else 1.0)
+        try:
+            return GmapModel(kind="radial_ramp", alpha=float(alpha or 1.0))
+        except ValueError as exc:  # not a number, or out of range
+            raise ConfigError(f"bad radial_ramp alpha {alpha!r}: {exc}") from exc
     if alpha:
         raise ConfigError(f"gmap model {kind!r} takes no parameter")
     return GmapModel(kind=kind)

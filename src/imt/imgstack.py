@@ -83,7 +83,7 @@ class ComplexImageStack:
 
     def magnitude(self) -> np.ndarray:
         """Voxelwise |x| as float64 (metric/estimation precision)."""
-        return np.abs(self.data.astype(np.complex128))
+        return magnitudes(self.data)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ComplexImageStack) and np.array_equal(
@@ -92,6 +92,14 @@ class ComplexImageStack:
 
     def __repr__(self) -> str:
         return f"ComplexImageStack(S={self.slices}, H={self.height}, W={self.width})"
+
+
+def magnitudes(a) -> np.ndarray:
+    """np.abs(a.astype(np.complex128)) bit for bit, without its whole-array copy."""
+    out = np.empty(a.shape, dtype=np.float64)
+    for s in range(a.shape[0]):
+        np.abs(a[s].astype(np.complex128), out=out[s])
+    return out
 
 
 class GFactorMap:

@@ -21,7 +21,7 @@ from scipy.stats import t as student_t
 
 from .container import atomic_write
 from .errors import DegenerateInputError, FormatError, InvalidInputError, check_fields
-from .imgstack import ComplexImageStack
+from .imgstack import ComplexImageStack, magnitudes
 
 log = logging.getLogger(__name__)
 
@@ -32,17 +32,19 @@ SSIM_K2 = 0.03
 
 
 def magnitude_stack(x) -> np.ndarray:
-    """Magnitudes as a float64 (S, H, W) array; 2-D input becomes one slice."""
-    if isinstance(x, ComplexImageStack):
-        a = x.data
-    else:
-        a = np.asarray(x)
+    """Magnitudes as a float64 (S, H, W) array; 2-D input becomes one slice.
+
+    Float64 input with no sign bit set is its own magnitude: used uncopied.
+    """
+    a = x.data if isinstance(x, ComplexImageStack) else np.asarray(x)
     if a.ndim == 2:
         a = a[None]
     if a.ndim != 3:
         raise InvalidInputError(f"expected a 2-D slice or 3-D stack, got shape {a.shape}")
     if np.iscomplexobj(a):
-        return np.abs(a.astype(np.complex128))
+        return magnitudes(a)
+    if a.dtype == np.float64 and not np.signbit(a).any():
+        return a
     return np.abs(np.asarray(a, dtype=np.float64))
 
 
@@ -54,13 +56,10 @@ def _magnitude_pair(test, ref):
     return a, b
 
 
-def _range(a: np.ndarray, b: np.ndarray) -> float:
-    return float(max(a.max(), b.max()) - min(a.min(), b.min()))
-
-
 def pair_range(test, ref) -> float:
     """Dynamic range (max - min) over the union of both magnitude stacks."""
-    return _range(*_magnitude_pair(test, ref))
+    a, b = _magnitude_pair(test, ref)
+    return float(max(a.max(), b.max()) - min(a.min(), b.min()))
 
 
 def psnr(test, ref) -> float:
@@ -70,11 +69,8 @@ def psnr(test, ref) -> float:
     +inf, which propagates to the mean; report it as the string "inf", never
     a substitute number.
     """
-    return _psnr(*_magnitude_pair(test, ref))
-
-
-def _psnr(a: np.ndarray, b: np.ndarray) -> float:
-    rng = _range(a, b)
+    a, b = _magnitude_pair(test, ref)
+    rng = pair_range(a, b)
     vals = []
     for s in range(a.shape[0]):
         mse = float(np.mean((a[s] - b[s]) ** 2))
@@ -102,10 +98,7 @@ def ssim(test, ref) -> float:
     pair-union dynamic range. Slices smaller than the window reduce it to the
     largest odd size that fits (logged).
     """
-    return _ssim(*_magnitude_pair(test, ref))
-
-
-def _ssim(a: np.ndarray, b: np.ndarray) -> float:
+    a, b = _magnitude_pair(test, ref)
     if np.array_equal(a, b):
         return 1.0
     _, h, w = a.shape
@@ -115,7 +108,7 @@ def _ssim(a: np.ndarray, b: np.ndarray) -> float:
         if size % 2 == 0:
             size -= 1
         log.info("slice %dx%d smaller than SSIM window, reduced to %d", h, w, size)
-    rng = _range(a, b)
+    rng = pair_range(a, b)
     c1 = (SSIM_K1 * rng) ** 2
     c2 = (SSIM_K2 * rng) ** 2
     g = _gaussian_window(size, SSIM_SIGMA)
@@ -141,16 +134,13 @@ def nrmse(test, ref, mode: str = "signal") -> float:
     """
     if mode not in ("signal", "range"):
         raise InvalidInputError(f"unknown nrmse mode {mode!r}")
-    return _nrmse(*_magnitude_pair(test, ref), mode)
-
-
-def _nrmse(a: np.ndarray, b: np.ndarray, mode: str = "signal") -> float:
+    a, b = _magnitude_pair(test, ref)
     if mode == "signal":
         denom = float(np.linalg.norm(b))
         if denom == 0.0:
             raise DegenerateInputError("zero-norm reference: signal-normalized NRMSE undefined")
         return float(np.linalg.norm(a - b) / denom)
-    rng = _range(a, b)
+    rng = pair_range(a, b)
     if rng == 0.0:
         raise DegenerateInputError("zero dynamic range: range-normalized NRMSE undefined")
     return float(np.sqrt(np.mean((a - b) ** 2)) / rng)
@@ -158,6 +148,16 @@ def _nrmse(a: np.ndarray, b: np.ndarray, mode: str = "signal") -> float:
 
 # ---------------------------------------------------------------------------
 # rater statistics
+
+
+def _paired_scores(a, b, name: str):
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise InvalidInputError(f"need equal-length 1-D scores, got {x.shape} and {y.shape}")
+    if x.size < 2:
+        raise InvalidInputError(f"{name} needs n >= 2, got {x.size}")
+    return x, y
 
 
 class TTestResult(NamedTuple):
@@ -171,13 +171,8 @@ def paired_t_test(a, b) -> TTestResult:
     Zero-variance differences degenerate to p=1 (zero mean) or p=0
     (systematic offset) instead of dividing by zero.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InvalidInputError(f"need equal-length 1-D scores, got {x.shape} and {y.shape}")
+    x, y = _paired_scores(a, b, "paired t-test")
     n = x.size
-    if n < 2:
-        raise InvalidInputError(f"paired t-test needs n >= 2, got {n}")
     d = x - y
     mean = float(np.mean(d))
     sd = float(np.std(d, ddof=1))
@@ -199,12 +194,7 @@ class BlandAltman(NamedTuple):
 
 def bland_altman(a, b) -> BlandAltman:
     """Mean difference and 1.96-sd limits of agreement, plus plot points."""
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InvalidInputError(f"need equal-length 1-D scores, got {x.shape} and {y.shape}")
-    if x.size < 2:
-        raise InvalidInputError(f"Bland-Altman needs n >= 2, got {x.size}")
+    x, y = _paired_scores(a, b, "Bland-Altman")
     d = x - y
     mean = float(np.mean(d))
     sd = float(np.std(d, ddof=1))
@@ -287,9 +277,9 @@ class MetricsReport:
 
 
 def evaluate_case(case_id: str, test, ref) -> CaseMetrics:
-    # convert once: the public metrics would each copy the pair again
+    # convert once; the metrics take the float64 magnitudes without a copy
     a, b = _magnitude_pair(test, ref)
-    return CaseMetrics(case_id=case_id, psnr=_psnr(a, b), ssim=_ssim(a, b), nrmse=_nrmse(a, b))
+    return CaseMetrics(case_id=case_id, psnr=psnr(a, b), ssim=ssim(a, b), nrmse=nrmse(a, b))
 
 
 def build_report(entries) -> MetricsReport:
@@ -332,22 +322,21 @@ def write_report(report: MetricsReport, path) -> None:
 
 def load_report(path) -> dict:
     """Parse a report JSON; 'inf'/'nan' strings come back as floats."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if "cases" not in doc or "aggregate" not in doc:
-        raise FormatError(f"{path}: missing cases/aggregate")
 
     def back(x):
         return float(x) if isinstance(x, str) else x
 
-    for case in doc["cases"]:
-        for name in METRIC_NAMES:
-            case[name] = back(case[name])
-    for stats in doc["aggregate"].values():
-        for k in stats:
-            stats[k] = back(stats[k])
+    try:
+        doc = json.loads(Path(path).read_bytes())
+        if not isinstance(doc["cases"], list):
+            raise TypeError("cases is not a list")
+        doc["cases"] = [{**c, **{n: back(c[n]) for n in METRIC_NAMES}} for c in doc["cases"]]
+        doc["aggregate"] = {
+            m: {k: back(v) for k, v in stats.items()} for m, stats in doc["aggregate"].items()
+        }
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        # bad bytes, JSON or number, or a value of the wrong JSON type
+        raise FormatError(f"{path}: not a metrics report: {exc!r}") from exc
     return doc
 
 

@@ -30,7 +30,7 @@ from .errors import (
     NumericalFailureError,
     check_fields,
 )
-from .imgstack import ComplexImageStack, GFactorMap, power_normalize
+from .imgstack import ComplexImageStack, GFactorMap, magnitudes, power_normalize
 from .kspace import kspace_resize
 from .noisegen import SIGMA_TRAINING_RANGE, GmapModel, NoiseSpec, make_gmap, make_training_pair
 from .network import (
@@ -240,10 +240,8 @@ def perceptual_loss(pred, target, fe: FeatureExtractor) -> float:
     if a.ndim < 2:
         raise InvalidInputError(f"need at least 2 spatial dims, got shape {a.shape}")
     h, w = a.shape[-2], a.shape[-1]
-    ma = np.abs(a.astype(np.complex128)).reshape(-1, h, w)
-    mb = np.abs(b.astype(np.complex128)).reshape(-1, h, w)
-    fa = fe.features(ma)
-    fb = fe.features(mb)
+    fa = fe.features(magnitudes(a.reshape(-1, h, w)))
+    fb = fe.features(magnitudes(b.reshape(-1, h, w)))
     d = fa - fb
     return float(np.mean(d * d))
 

@@ -143,6 +143,16 @@ def test_synth_bad_gmap_model(work, phantom_dir):
     assert code == 2
 
 
+def test_synth_non_numeric_gmap_alpha(work, phantom_dir, capsys):
+    out = work / "z.imts"
+    code = main(["synth", "--clean", str(phantom_dir / "phantom_000.imts"),
+                 "--gmap-model", "radial_ramp:abc", "--sigma", "2", "--seed", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert "bad radial_ramp alpha 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_gmap_dimension_mismatch(work, phantom_dir):
     gpath = work / "small_g.imts"
     save_gmap(GFactorMap(np.ones((8, 8), np.float32)), gpath)

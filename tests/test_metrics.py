@@ -313,6 +313,34 @@ def test_report_round_trip(rng, tmp_path):
     assert doc["aggregate"]["psnr"]["mean"] == math.inf
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"5",
+        b'{"cases": 5, "aggregate": {}}',
+        b'{"cases": [3], "aggregate": {}}',
+        b'{"cases": [{"id": "a", "psnr": 1.0, "ssim": 0.5}], "aggregate": {}}',
+        b'{"cases": [], "aggregate": [1]}',
+        b'{"cases": [], "aggregate": {"psnr": 3}}',
+        b'{"cases": [], "aggregate": {}, "id": "\xff"}',
+    ],
+    ids=[
+        "root-int",
+        "cases-int",
+        "case-int",
+        "missing-metric",
+        "aggregate-list",
+        "aggregate-of-int",
+        "bad-utf8",
+    ],
+)
+def test_load_report_malformed(tmp_path, raw):
+    path = tmp_path / "report.json"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError):
+        mx.load_report(path)
+
+
 def test_report_aggregate_hand_values():
     cases = [
         mx.CaseMetrics("a", psnr=20.0, ssim=0.8, nrmse=0.2),
@@ -331,6 +359,46 @@ def test_case_metrics_validation():
         mx.CaseMetrics("x", psnr=10.0, ssim=0.5, nrmse=-0.1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda r: (r.normal(size=(3, 8, 9)) + 1j * r.normal(size=(3, 8, 9))).astype(np.complex64),
+        lambda r: r.normal(size=(3, 8, 9)) + 1j * r.normal(size=(3, 8, 9)),
+        lambda r: (r.normal(size=(8, 9)) + 1j * r.normal(size=(8, 9))).astype(np.complex64),
+        lambda r: r.normal(size=(3, 8, 9)),
+        lambda r: np.append(r.uniform(1, 2, size=3 * 8 * 9 - 1), -0.0).reshape(3, 8, 9),
+    ],
+    ids=["complex64", "complex128", "2-D", "negative-real", "signed-zero"],
+)
+def test_magnitude_stack_is_bitwise_abs(rng, make):
+    a = make(rng)
+    want = np.abs(a.astype(np.complex128)).reshape((-1,) + a.shape[-2:])
+    got = mx.magnitude_stack(a)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_magnitude_stack_keeps_float64_magnitudes(rng):
+    a = random_mags(rng)
+    assert mx.magnitude_stack(a) is a
+    assert np.shares_memory(mx.magnitude_stack(a[0]), a)
+
+
+def test_magnitude_stack_converts_slice_by_slice(rng):
+    shape = (16, 64, 64)
+    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
+    payload = math.prod(shape) * 8  # one float64 magnitude stack
+    tracemalloc.start()
+    try:
+        mx.magnitude_stack(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result plus one complex128 slice; a whole-stack complex128 copy
+    # would add two payloads
+    assert peak < 1.25 * payload
+
+
 def test_evaluate_case_converts_each_stack_once(rng):
     shape = (16, 64, 64)
     test, ref = (
@@ -346,12 +414,25 @@ def test_evaluate_case_converts_each_stack_once(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two magnitude stacks, plus one complex128 copy while the second is
-    # converted; a metric that converts the pair again adds two payloads
-    assert peak < 4.25 * payload
+    # the two magnitude stacks, plus nrmse's difference a - b; a metric that
+    # converts or copies the pair again adds two payloads
+    assert peak < 3.25 * payload
     assert case == mx.CaseMetrics(
         "c", mx.psnr(test, ref), mx.ssim(test, ref), mx.nrmse(test, ref)
     )
+
+
+def test_evaluate_case_reaches_the_public_metrics(rng, monkeypatch):
+    # tracers wrap the module attributes, so evaluate_case must look them up
+    a, b = rng.uniform(1.0, 2.0, size=(2, 2, 12, 12))
+    calls = []
+    for name in mx.METRIC_NAMES:
+        def spy(x, y, _metric=getattr(mx, name), _name=name):
+            calls.append(_name)
+            return _metric(x, y)
+        monkeypatch.setattr(mx, name, spy)
+    mx.evaluate_case("c", a, b)
+    assert sorted(calls) == sorted(mx.METRIC_NAMES)
 
 
 def test_build_report_needs_cases():
