@@ -368,14 +368,6 @@ def _vjp_exp(g, rec):
     return (mul(g, rec.out),)
 
 
-def _fwd_log(a):
-    return np.log(a), None
-
-
-def _vjp_log(g, rec):
-    return (div(g, rec.inputs[0]),)
-
-
 def _fwd_sqrt(a):
     return np.sqrt(a), None
 
@@ -637,7 +629,6 @@ register("mul", _fwd_mul, _vjp_mul)
 register("div", _fwd_div, _vjp_div)
 register("pow_const", _fwd_pow_const, _vjp_pow_const)
 register("exp", _fwd_exp, _vjp_exp)
-register("log", _fwd_log, _vjp_log)
 register("sqrt", _fwd_sqrt, _vjp_sqrt)
 register("sigmoid", _fwd_sigmoid, _vjp_sigmoid)
 register("matmul", _fwd_matmul, _vjp_matmul)
@@ -693,10 +684,6 @@ def square(a):
 
 def exp(a):
     return _apply("exp", a)
-
-
-def log(a):
-    return _apply("log", a)
 
 
 def sqrt(a):

@@ -133,6 +133,11 @@ def adjusted_sigma(stack) -> SigmaEstimate:
 # shrinkage denoiser
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def _shrink_channel(a: np.ndarray, threshold: float) -> np.ndarray:
     h, w = a.shape
     step = 2**SHRINK_LEVELS
@@ -150,8 +155,7 @@ def wavelet_shrink_denoise(stack, sigma: float) -> ComplexImageStack:
     approximation band passes through untouched. sigma=0 reduces to a
     round-trip of the transform.
     """
-    if not (sigma >= 0 and math.isfinite(sigma)):
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+    _check_sigma(sigma)
     if not isinstance(stack, ComplexImageStack):
         stack = ComplexImageStack(np.asarray(stack))
     threshold = sigma * math.sqrt(2.0 * math.log(stack.height * stack.width))
@@ -177,12 +181,16 @@ def denoise(stack, sigma: float | None = None) -> ComplexImageStack:
 def external_denoise(stack, command, sigma: float, timeout: float = 300.0) -> ComplexImageStack:
     """Run a configured external denoiser over IMTS files.
 
-    The command is invoked as `<command...> <input> <output> --sigma <value>`;
-    a non-zero exit, a timeout, or an unreadable output file raises
-    BaselineError.
+    The command is invoked as `<command...> <input> <output> --sigma <value>`.
+    sigma must be finite and >= 0, as for the internal denoiser, and timeout
+    finite and > 0 (InvalidInputError otherwise); a non-zero exit, a timeout,
+    or an unreadable output file raises BaselineError.
     """
     if not command:
         raise InvalidInputError("external baseline command is empty")
+    _check_sigma(sigma)
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise InvalidInputError(f"timeout must be finite and > 0, got {timeout}")
     if not isinstance(stack, ComplexImageStack):
         stack = ComplexImageStack(np.asarray(stack))
     with tempfile.TemporaryDirectory(prefix="imt-baseline-") as tmp:

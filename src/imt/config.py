@@ -80,7 +80,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -364,7 +364,12 @@ class RaterScore:
 def read_rater_csv(path) -> list:
     """Parse rater scores; errors carry 1-based line numbers."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    data = path.read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} (line {line})") from exc
     if not lines:
         raise FormatError(f"{path}: empty file (line 1)")
     if lines[0].strip() != ",".join(RATER_COLUMNS):

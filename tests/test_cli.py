@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import shlex
 import sys
 
 import numpy as np
 import pytest
 
 from imt import metrics, network
-from imt.cli import main, worker_count
+from imt.baseline import adjusted_sigma, wavelet_shrink_denoise
+from imt.cli import main
 from imt.imgstack import ComplexImageStack, load_stack, save_gmap, save_stack
 from imt.metrics import RATER_COLUMNS
 from imt.network import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -185,6 +187,15 @@ def test_train_bad_config(work, phantom_dir):
     code = main(["train", "--config", str(bad), "--data", str(phantom_dir),
                  "--out", str(work / "t3")])
     assert code == 2
+
+
+def test_train_undecodable_config_exits_2(work, phantom_dir, capsys):
+    bad = work / "bad_bytes.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code = main(["train", "--config", str(bad), "--data", str(phantom_dir),
+                 "--out", str(work / "t6")])
+    assert code == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -449,6 +460,15 @@ def test_report_malformed_csv_exits_2(work, score_files, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_report_undecodable_csv_exits_2(work, score_files, capsys):
+    a, _ = score_files
+    bad = work / "bad_bytes.csv"
+    header = ",".join(RATER_COLUMNS).encode()
+    bad.write_bytes(header + b"\ncase01,r1,1,1,1,1\ncase02,\xff,1,1,1,1\n")
+    assert main(["report", "--scores", str(a), str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_report_missing_column_exits_2(work, score_files, capsys):
     a, _ = score_files
     bad = work / "bad_header.csv"
@@ -476,22 +496,13 @@ def test_baseline_internal(work, noisy_file, capsys):
     assert load_stack(out).shape == (3, 24, 24)
 
 
-def test_baseline_respects_imt_threads(work, noisy_file, monkeypatch):
-    out1 = work / "base_t1.imts"
-    out4 = work / "base_t4.imts"
-    monkeypatch.setenv("IMT_THREADS", "1")
-    assert worker_count() == 1
-    assert main(["baseline", "--in", str(noisy_file), "--out", str(out1)]) == 0
-    monkeypatch.setenv("IMT_THREADS", "4")
-    assert main(["baseline", "--in", str(noisy_file), "--out", str(out4)]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
-
-
-def test_baseline_bad_imt_threads(work, noisy_file, monkeypatch):
-    monkeypatch.setenv("IMT_THREADS", "zero")
-    code = main(["baseline", "--in", str(noisy_file),
-                 "--out", str(work / "never4.imts")])
-    assert code == 2
+def test_baseline_writes_serial_shrink(work, noisy_file):
+    out = work / "base_serial.imts"
+    expected = work / "base_expected.imts"
+    assert main(["baseline", "--in", str(noisy_file), "--out", str(out)]) == 0
+    stack = load_stack(noisy_file)
+    save_stack(wavelet_shrink_denoise(stack, adjusted_sigma(stack).adjusted), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_baseline_sigma_zero_is_identity(work, phantom_dir):
@@ -511,6 +522,28 @@ def test_baseline_external_command(work, noisy_file, tmp_path):
     assert main(["baseline", "--in", str(noisy_file), "--out", str(out),
                  "--sigma", "2", "--command", cmd]) == 0
     assert out.read_bytes() == noisy_file.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--command", "'unterminated"],
+        ["--timeout", "nan"],
+        ["--timeout", "inf"],
+        ["--timeout", "0"],
+        ["--timeout", "-1"],
+        ["--sigma", "inf"],
+        ["--sigma", "-1"],
+    ],
+)
+def test_baseline_bad_argument_exits_2(work, noisy_file, capsys, args):
+    out = work / "never_arg.imts"
+    no_op = f"{shlex.quote(sys.executable)} -c pass"
+    code = main(["baseline", "--in", str(noisy_file), "--out", str(out),
+                 "--command", no_op, *args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("imt: ")
+    assert not out.exists()
 
 
 def test_baseline_external_failure_exits_5(work, noisy_file, tmp_path, capsys):
