@@ -462,21 +462,96 @@ def _vjp_reduce_max(g, rec):
     return (mul(spread, constant(mask)),)
 
 
+def _row_max(a):
+    """Max over the last axis, keepdims. Rows up to 16 wide halve with
+    np.maximum, 2-4x faster than np.max there; a max is exact, so the bits
+    are np.max's. Wider rows gain nothing from halving."""
+    if a.shape[-1] > 16:
+        return np.max(a, axis=-1, keepdims=True)
+    m = a
+    while m.shape[-1] > 1:
+        n = m.shape[-1]
+        h = n // 2
+        half = np.maximum(m[..., :h], m[..., h : 2 * h], out=None if m is a else m[..., :h])
+        if n % 2:
+            np.maximum(half[..., :1], m[..., 2 * h :], out=half[..., :1])
+        m = half
+    return m
+
+
+def _softmax_rows(a, out):
+    """Softmax over the last axis of ``a`` into ``out``, which may be ``a``:
+    subtract the row max, exp, divide by the row sum, all in place."""
+    np.subtract(a, _row_max(a), out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return out
+
+
 def _fwd_softmax(a, axis):
     # in place, so the forward allocates one score-sized array, not three
-    out = a - np.max(a, axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True)
+    out = np.empty_like(a)
+    _softmax_rows(np.moveaxis(a, axis, -1), np.moveaxis(out, axis, -1))
     return out, None
 
 
-def _vjp_softmax(g, rec):
+def _softmax_vjp(g, s, axis):
     # fused Jacobian-vector form: s * (g - sum(g * s))
-    axis = rec.kwargs["axis"]
-    s = rec.out
     gs = mul(g, s)
     total = reduce_sum(gs, axis=axis, keepdims=True)
-    return (mul(s, sub(g, total)),)
+    return mul(s, sub(g, total))
+
+
+def _vjp_softmax(g, rec):
+    return (_softmax_vjp(g, rec.out, rec.kwargs["axis"]),)
+
+
+# Score elements per tile of the attention_probs forward: 2**18 float32 values
+# (1 MiB) stay in one core's L2 cache from the matmul through the softmax.
+_SCORE_TILE = 2**18
+
+
+def _tiles(lead, count):
+    """Index tuples that cut leading axes ``lead`` into C-order blocks of at
+    most ``count`` entries (at least one), each a view of every operand."""
+    j, inner = len(lead), 1
+    while j and inner * lead[j - 1] <= count:
+        j -= 1
+        inner *= lead[j]
+    if not j:
+        yield ()
+        return
+    step = max(1, count // inner)
+    for outer in np.ndindex(*lead[: j - 1]):
+        for i in range(0, lead[j - 1], step):
+            yield outer + (slice(i, i + step),)
+
+
+def _fwd_attention_probs(q, kt, scale):
+    # P is the one score-sized allocation; each tile runs the matmul into it,
+    # then the scale and the softmax in place. The tiles are views, so each
+    # matrix product is the one a whole-batch matmul makes.
+    n, m = q.shape[-2], kt.shape[-1]
+    p = np.empty(q.shape[:-2] + (n, m), dtype=np.result_type(q, kt))
+    scale = np.asarray(scale, dtype=p.dtype)
+    for idx in _tiles(q.shape[:-2], _SCORE_TILE // max(n * m, 1)):
+        tile = p[idx]
+        np.matmul(q[idx], kt[idx], out=tile)
+        tile *= scale
+        _softmax_rows(tile, tile)
+    return p, None
+
+
+def _vjp_attention_probs(g, rec):
+    # the taped ops of the matmul -> scale mul -> softmax chain this primitive
+    # replaces, in its order, so the gradients keep their bits and a
+    # Hessian-vector product can differentiate them again
+    q, kt = rec.inputs
+    ds = _softmax_vjp(g, rec.out, -1)
+    ds = mul(ds, _lift(rec.kwargs["scale"], ds))
+    dq = None if q.stop else matmul(ds, swapaxes(kt, -1, -2))
+    dkt = None if kt.stop else matmul(swapaxes(q, -1, -2), ds)
+    return dq, dkt
 
 
 def _fwd_stop_gradient(a):
@@ -607,8 +682,12 @@ def _vjp_batch_norm_train(g, rec):
 
 
 def _fwd_batch_norm_eval(x, gamma, beta, rmean, rvar, eps):
-    xhat = (x - rmean) / np.sqrt(rvar + np.asarray(eps, dtype=x.dtype))
-    return gamma * xhat + beta, None
+    # in place on one fresh array; the bits are (x - rmean) / sd * gamma + beta
+    out = x - rmean
+    out /= np.sqrt(rvar + np.asarray(eps, dtype=x.dtype))
+    out *= gamma
+    out += beta
+    return out, None
 
 
 def _vjp_batch_norm_eval(g, rec):
@@ -639,6 +718,7 @@ register("reduce_sum", _fwd_reduce_sum, _vjp_reduce_sum)
 register("reduce_mean", _fwd_reduce_mean, _vjp_reduce_mean)
 register("reduce_max", _fwd_reduce_max, _vjp_reduce_max)
 register("softmax", _fwd_softmax, _vjp_softmax)
+register("attention_probs", _fwd_attention_probs, _vjp_attention_probs)
 register("stop_gradient", _fwd_stop_gradient, _vjp_stop_gradient)
 register("maximum_const", _fwd_maximum_const, _vjp_maximum_const)
 register("gather", _fwd_gather, _vjp_gather)
@@ -742,6 +822,21 @@ def reduce_max(a, axis=None, keepdims=False):
 
 def softmax(a, axis=-1):
     return _apply("softmax", a, axis=axis)
+
+
+def attention_probs(q, k, scale):
+    """softmax(q @ kᵀ * scale) over the last axis, for (..., N, d) queries
+    and (..., M, d) keys with one leading shape: the attention probabilities,
+    without the score and scaled-score temporaries."""
+    qs, ks = tuple(q.shape), tuple(k.shape)
+    if len(qs) < 2 or len(ks) != len(qs) or ks[:-2] + ks[-1:] != qs[:-2] + qs[-1:]:
+        raise InvalidInputError(
+            f"attention_probs needs (..., N, d) and (..., M, d), got {qs} and {ks}"
+        )
+    # the key transpose stays a record of its own: the two cotangents of the
+    # keys then add in the transposed layout, as in the matmul chain this
+    # replaces, which keeps the bits of a Hessian-vector product through it
+    return _apply("attention_probs", q, swapaxes(k, -1, -2), scale=float(scale))
 
 
 def stop_gradient(a):

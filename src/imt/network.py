@@ -215,8 +215,7 @@ def _mha(tok, p, heads, probe=None, probe_key=None):
     q = _heads_split(_linear(tok, p["wq"], p["bq"]), heads)
     k = _heads_split(_linear(tok, p["wk"], p["bk"]), heads)
     v = _heads_split(_linear(tok, p["wv"], p["bv"]), heads)
-    scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    probs = ad.softmax(scores, axis=-1)
+    probs = ad.attention_probs(q, k, 1.0 / math.sqrt(q.shape[-1]))
     if probe is not None:
         probe[probe_key] = np.asarray(probs.value)
     out = _heads_merge(ad.matmul(probs, v))

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,7 @@ class TestPrimitives:
         required = {
             "matmul",
             "softmax",
+            "attention_probs",
             "batch_norm_train",
             "batch_norm_eval",
             "sigmoid",
@@ -369,3 +372,121 @@ class TestPrimitives:
             assert loss.value.dtype == np.float32
             (g,) = ad.backward(loss, [w])
         assert g.value.dtype == np.float32
+
+
+def attention_inputs(rng, lead, n, d, dtype):
+    """(lead, n, d) queries and keys with score ties and signed zeros; the
+    queries are a head-split view, as network._mha passes them."""
+    q = rng.normal(size=lead + (n, 2, d)).astype(dtype).swapaxes(-3, -2)[..., 0, :, :]
+    k = rng.normal(size=lead + (n, d)).astype(dtype)
+    q[..., 0, :] = 0.0  # a row of equal scores
+    q[..., -1, :] = -0.0
+    k[..., -1, :] = k[..., 0, :]  # every row ties its first and last key
+    return q, k
+
+
+def attention_oracle(q, k, scale):
+    """The attention_probs forward written out in numpy."""
+    s = np.matmul(q, np.swapaxes(k, -1, -2)) * np.asarray(scale, dtype=q.dtype)
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def attention_grads(q0, k0, w0, scale, fused):
+    with ad.Tape():
+        q, k = ad.leaf(q0), ad.leaf(k0)
+        if fused:
+            p = ad.attention_probs(q, k, scale)
+        else:
+            p = ad.softmax(ad.matmul(q, ad.swapaxes(k, -1, -2)) * scale, axis=-1)
+        loss = ad.reduce_sum(ad.mul(p, ad.constant(w0)))
+        grads = ad.backward(loss, [q, k])
+    return p.value, [g.value for g in grads]
+
+
+class TestAttentionProbs:
+    # row widths of slice (4, 8), local (64) and global (1, 169) attention
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, lead", [(1, (3, 2)), (4, (2, 5)), (8, (3, 7)), (64, (2, 3)), (169, (20,))]
+    )
+    def test_bitwise_equal_to_composite(self, rng, n, lead, dtype):
+        # (20,) at width 169 runs the real tile size with a partial last tile
+        q0, k0 = attention_inputs(rng, lead, n, 4, dtype)
+        w0 = rng.normal(size=lead + (n, n)).astype(dtype)
+        scale = 1.0 / np.sqrt(4)
+        p, grads = attention_grads(q0, k0, w0, scale, fused=True)
+        p_ref, grads_ref = attention_grads(q0, k0, w0, scale, fused=False)
+        assert p.dtype == dtype
+        assert np.array_equal(p, attention_oracle(q0, k0, scale))
+        assert np.array_equal(p, p_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert g.dtype == dtype and np.array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 64, 169])
+    @pytest.mark.parametrize("lead, count", [((5,), 2), ((3, 5), 2), ((3, 5), 10)])
+    def test_tiles_with_remainder(self, rng, n, lead, count, monkeypatch):
+        # tiles of 2, 2 and 1 matrices along the last leading axis, or of 10
+        # and 5 along the first
+        monkeypatch.setattr(ad, "_SCORE_TILE", count * n * n + 1)
+        q0, k0 = attention_inputs(rng, lead, n, 3, np.float32)
+        with ad.no_recording():
+            p = ad.attention_probs(ad.constant(q0), ad.constant(k0), 0.5)
+        assert np.array_equal(p.value, attention_oracle(q0, k0, 0.5))
+
+    def test_softmax_row_max_matches_np_max(self, rng):
+        for n in range(1, 20):
+            a = rng.normal(size=(6, 5, n)).astype(np.float32)
+            a[0] = 0.0
+            a[1, :, -1] = np.inf
+            assert np.array_equal(ad._row_max(a), np.max(a, axis=-1, keepdims=True))
+
+    def test_finite_difference_first_order(self, rng):
+        w0 = rng.normal(size=(2, 3, 5, 6))
+        pt = {"q": rng.normal(size=(2, 3, 5, 4)), "k": rng.normal(size=(2, 3, 6, 4))}
+
+        def f(v):
+            p = ad.attention_probs(v["q"], v["k"], 0.7)
+            return ad.reduce_sum(ad.mul(p, ad.constant(w0)))
+
+        assert ad.finite_difference_check(f, pt, samples=60) < 1e-6
+
+    def test_finite_difference_second_order(self, rng):
+        # differentiates <grad f, u>, the Hessian-vector product Sophia takes
+        w0 = rng.normal(size=(3, 4, 5))
+        pt = {"q": rng.normal(size=(3, 4, 2)), "k": rng.normal(size=(3, 5, 2))}
+        u = {name: rng.normal(size=v.shape) for name, v in pt.items()}
+
+        def grad_dot_u(v):
+            with contextlib.ExitStack() as stack:
+                if ad.current_tape() is None:  # a finite-difference evaluation
+                    stack.enter_context(ad.Tape())
+                    v = {name: ad.leaf(x.value) for name, x in v.items()}
+                p = ad.attention_probs(v["q"], v["k"], 0.9)
+                f = ad.reduce_sum(ad.mul(ad.square(p), ad.constant(w0)))
+                gq, gk = ad.backward(f, [v["q"], v["k"]], create_graph=True)
+                return ad.add(
+                    ad.reduce_sum(ad.mul(gq, ad.constant(u["q"]))),
+                    ad.reduce_sum(ad.mul(gk, ad.constant(u["k"]))),
+                )
+
+        assert ad.finite_difference_check(grad_dot_u, pt, samples=60) < 1e-5
+
+    def test_replay_bitwise(self, rng):
+        q0, k0 = attention_inputs(rng, (3,), 8, 4, np.float32)
+        with ad.Tape() as tape:
+            q, k = ad.leaf(q0), ad.leaf(k0)
+            p = ad.attention_probs(q, k, 0.5)
+            loss = ad.reduce_mean(ad.square(p))
+            ad.backward(loss, [q, k], create_graph=True)
+        assert "attention_probs" in {r.name for r in tape.records}
+        tape.replay()
+
+    @pytest.mark.parametrize(
+        "q_shape, k_shape",
+        [((2, 4, 3), (3, 4, 3)), ((2, 4, 3), (2, 4, 2)), ((2, 4, 3), (4, 3)), ((4, 3), (3,))],
+    )
+    def test_rejects_mismatched_operands(self, rng, q_shape, k_shape):
+        q, k = (ad.constant(rng.normal(size=s)) for s in (q_shape, k_shape))
+        with pytest.raises(InvalidInputError):
+            ad.attention_probs(q, k, 1.0)
