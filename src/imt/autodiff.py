@@ -446,22 +446,6 @@ def _vjp_reduce_mean(g, rec):
     return (div(spread, _lift(float(count), spread)),)
 
 
-def _fwd_reduce_max(a, axis, keepdims):
-    return np.max(a, axis=axis, keepdims=keepdims), None
-
-
-def _vjp_reduce_max(g, rec):
-    (a,) = rec.inputs
-    axes = _norm_axes(rec.kwargs["axis"], len(a.shape))
-    keepdims = rec.kwargs["keepdims"]
-    maxval = np.max(a.value, axis=tuple(axes), keepdims=True)
-    mask = (a.value == maxval).astype(a.value.dtype)
-    count = np.sum(mask, axis=tuple(axes), keepdims=True)
-    mask = mask / count  # ties share the cotangent equally
-    spread = _restore_reduced(g, a.shape, rec.kwargs["axis"], keepdims)
-    return (mul(spread, constant(mask)),)
-
-
 def _row_max(a):
     """Max over the last axis, keepdims. Rows up to 16 wide halve with
     np.maximum, 2-4x faster than np.max there; a max is exact, so the bits
@@ -716,7 +700,6 @@ register("reshape", _fwd_reshape, _vjp_reshape)
 register("broadcast_to", _fwd_broadcast_to, _vjp_broadcast_to)
 register("reduce_sum", _fwd_reduce_sum, _vjp_reduce_sum)
 register("reduce_mean", _fwd_reduce_mean, _vjp_reduce_mean)
-register("reduce_max", _fwd_reduce_max, _vjp_reduce_max)
 register("softmax", _fwd_softmax, _vjp_softmax)
 register("attention_probs", _fwd_attention_probs, _vjp_attention_probs)
 register("stop_gradient", _fwd_stop_gradient, _vjp_stop_gradient)
@@ -814,10 +797,6 @@ def reduce_sum(a, axis=None, keepdims=False):
 
 def reduce_mean(a, axis=None, keepdims=False):
     return _apply("reduce_mean", a, axis=axis, keepdims=keepdims)
-
-
-def reduce_max(a, axis=None, keepdims=False):
-    return _apply("reduce_max", a, axis=axis, keepdims=keepdims)
 
 
 def softmax(a, axis=-1):

@@ -6,8 +6,9 @@ fixed feature extractor. Optimization is Sophia with a Hutchinson diagonal
 Hessian estimate refreshed on a fixed cadence; both backward passes run on
 one tape per step.
 
-Public loss functions compute in double precision (they double as reference
-oracles); the training loop builds the same formulas on float32 Variables.
+Each loss term has one body, a graph function on two-channel Variables that
+computes in its input's dtype: the training loop differentiates it in float32,
+and the public loss functions evaluate it in float64.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     NumericalFailureError,
     check_fields,
 )
-from .imgstack import ComplexImageStack, GFactorMap, magnitudes, power_normalize
+from .imgstack import ComplexImageStack, GFactorMap, power_normalize
 from .kspace import kspace_resize
 from .noisegen import SIGMA_TRAINING_RANGE, GmapModel, NoiseSpec, make_gmap, make_training_pair
 from .network import (
@@ -164,8 +165,7 @@ class FeatureExtractor:
     def features(self, mags: np.ndarray) -> np.ndarray:
         """Evaluate the feature map on a batch of magnitude images (N, H, W).
 
-        Runs in the input's float precision so float64 calls can serve as
-        reference values for the float32 training graph.
+        Runs in the input's float precision, as the loss graphs do.
         """
         a = np.asarray(mags)
         if a.ndim != 3:
@@ -211,7 +211,18 @@ def _check_pair(pred, target):
     b = _complex_values(target, "target")
     if a.shape != b.shape:
         raise InvalidInputError(f"shape mismatch: pred {a.shape} vs target {b.shape}")
+    if a.size == 0:
+        raise InvalidInputError(f"empty pair of shape {a.shape}")
     return a, b
+
+
+def _evaluate(graph, pred, target, *args) -> float:
+    """Run a loss graph on a checked complex pair in float64, untaped."""
+    a, b = _check_pair(pred, target)
+    with ad.no_recording():
+        pred2 = ad.complex_split(ad.constant(a.astype(np.complex128)))
+        target2 = ad.complex_split(ad.constant(b.astype(np.complex128))).value
+        return float(graph(pred2, target2, *args).value)
 
 
 def charbonnier_loss(pred, target, cfg: LossConfig = LossConfig()) -> float:
@@ -221,13 +232,7 @@ def charbonnier_loss(pred, target, cfg: LossConfig = LossConfig()) -> float:
     paper_literal_global mode is sqrt(sum |d_i|^2 + eps^2) over the whole
     array. Both reduce to eps at zero residual.
     """
-    a, b = _check_pair(pred, target)
-    d = a.astype(np.complex128) - b.astype(np.complex128)
-    mag2 = d.real * d.real + d.imag * d.imag
-    eps2 = float(cfg.epsilon) ** 2
-    if cfg.charbonnier_reduction == "per_element_mean":
-        return float(np.mean(np.sqrt(mag2 + eps2)))
-    return float(np.sqrt(np.sum(mag2) + eps2))
+    return _evaluate(_charbonnier_graph, pred, target, cfg)
 
 
 def perceptual_loss(pred, target, fe: FeatureExtractor) -> float:
@@ -236,29 +241,20 @@ def perceptual_loss(pred, target, fe: FeatureExtractor) -> float:
     Leading axes flatten into the image batch; the per-image normalization by
     C_j*H_j*W_j makes this the plain mean over all feature elements.
     """
-    a, b = _check_pair(pred, target)
-    if a.ndim < 2:
-        raise InvalidInputError(f"need at least 2 spatial dims, got shape {a.shape}")
-    h, w = a.shape[-2], a.shape[-1]
-    fa = fe.features(magnitudes(a.reshape(-1, h, w)))
-    fb = fe.features(magnitudes(b.reshape(-1, h, w)))
-    d = fa - fb
-    return float(np.mean(d * d))
+    return _evaluate(_perceptual_graph, pred, target, fe)
 
 
 def combined_loss(pred, target, cfg: LossConfig, fe: FeatureExtractor) -> float:
     """Charbonnier term plus perceptual_weight times the perceptual term."""
-    total = charbonnier_loss(pred, target, cfg)
-    if cfg.perceptual_weight > 0:
-        total += cfg.perceptual_weight * perceptual_loss(pred, target, fe)
-    return total
+    return _evaluate(_combined_graph, pred, target, cfg, fe)
 
 
 def _charbonnier_graph(pred2: ad.Variable, target2: np.ndarray, cfg: LossConfig) -> ad.Variable:
-    """Charbonnier on 2-channel Variables; float32 twin of charbonnier_loss."""
+    """Charbonnier on 2-channel Variables, in pred2's dtype."""
     diff = ad.sub(pred2, ad.constant(target2))
     mag2 = ad.reduce_sum(ad.square(diff), axis=-1)
-    eps2 = ad.constant(np.float32(cfg.epsilon) * np.float32(cfg.epsilon))
+    e = pred2.dtype.type(cfg.epsilon)
+    eps2 = ad.constant(e * e)
     if cfg.charbonnier_reduction == "per_element_mean":
         return ad.reduce_mean(ad.sqrt(ad.add(mag2, eps2)))
     return ad.sqrt(ad.add(ad.reduce_sum(mag2), eps2))
@@ -267,12 +263,14 @@ def _charbonnier_graph(pred2: ad.Variable, target2: np.ndarray, cfg: LossConfig)
 def _perceptual_graph(
     pred2: ad.Variable, target2: np.ndarray, fe: FeatureExtractor
 ) -> ad.Variable:
+    if len(pred2.shape) < 3:
+        raise InvalidInputError(f"need at least 2 spatial dims, got shape {pred2.shape[:-1]}")
     mag = ad.channel_magnitude(pred2, ch_axis=-1)
     n = int(np.prod(mag.shape[:-2]))
     mag = ad.reshape(mag, (n, mag.shape[-2], mag.shape[-1], 1))
     t = np.sqrt(np.sum(np.square(target2, dtype=np.float64), axis=-1))
-    ft = fe.features(t.reshape(n, t.shape[-2], t.shape[-1]).astype(np.float32))
-    d = ad.sub(fe._phi(mag), ad.constant(ft))
+    ft = fe.features(t.reshape(n, t.shape[-2], t.shape[-1]).astype(pred2.dtype))
+    d = ad.sub(fe._phi(mag, dtype=pred2.dtype), ad.constant(ft))
     return ad.reduce_mean(ad.square(d))
 
 
@@ -281,7 +279,7 @@ def _combined_graph(
 ) -> ad.Variable:
     out = _charbonnier_graph(pred2, target2, cfg)
     if cfg.perceptual_weight > 0:
-        w = ad.constant(np.float32(cfg.perceptual_weight))
+        w = ad.constant(pred2.dtype.type(cfg.perceptual_weight))
         out = ad.add(out, ad.mul(w, _perceptual_graph(pred2, target2, fe)))
     return out
 

@@ -357,7 +357,6 @@ class TestPrimitives:
             "scatter_add",
             "reduce_sum",
             "reduce_mean",
-            "reduce_max",
             "stop_gradient",
         }
         assert required <= ad.registered_primitives()

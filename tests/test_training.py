@@ -121,14 +121,20 @@ def test_charbonnier_translation_consistent(rng):
     assert shifted == pytest.approx(base, rel=1e-7)
 
 
-def test_charbonnier_graph_matches_public(rng):
+def test_charbonnier_graph_matches_double_precision_oracle(rng):
     a, b = random_pair(rng)
-    cfg = tr.LossConfig()
     p2 = np.stack([a.real, a.imag], -1).astype(np.float32)
     t2 = np.stack([b.real, b.imag], -1).astype(np.float32)
-    with ad.Tape():
-        v = tr._charbonnier_graph(ad.leaf(p2), t2, cfg)
-    assert float(v.value) == pytest.approx(tr.charbonnier_loss(a, b, cfg), rel=1e-6)
+    d = a.astype(np.complex128) - b.astype(np.complex128)
+    oracles = {
+        "per_element_mean": float(np.mean(np.sqrt(np.abs(d) ** 2 + 1e-6))),
+        "paper_literal_global": float(np.sqrt(np.sum(np.abs(d) ** 2) + 1e-6)),
+    }
+    for mode, oracle in oracles.items():
+        with ad.Tape():
+            v = tr._charbonnier_graph(ad.leaf(p2), t2, tr.LossConfig(charbonnier_reduction=mode))
+        assert v.value.dtype == np.float32
+        assert float(v.value) == pytest.approx(oracle, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +286,50 @@ def test_combined_never_below_epsilon(rng):
     for _ in range(10):
         a, b = random_pair(rng, shape=(1, 8, 8))
         assert tr.combined_loss(a, b, cfg, fe) >= cfg.epsilon
+
+
+@pytest.mark.parametrize("shape", [(0, 8, 8), (2, 0, 8)])
+@pytest.mark.parametrize("loss", ["charbonnier", "perceptual", "combined"])
+def test_losses_reject_empty_pair(loss, shape):
+    z = np.zeros(shape, np.complex64)
+    fe = tr.FeatureExtractor()
+    call = {
+        "charbonnier": lambda: tr.charbonnier_loss(z, z, tr.LossConfig()),
+        "perceptual": lambda: tr.perceptual_loss(z, z, fe),
+        "combined": lambda: tr.combined_loss(z, z, tr.LossConfig(), fe),
+    }[loss]
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_perceptual_terms_need_two_spatial_dims(rng):
+    a, b = random_pair(rng, shape=(16,))
+    fe = tr.FeatureExtractor()
+    with pytest.raises(InvalidInputError):
+        tr.perceptual_loss(a, b, fe)
+    with pytest.raises(InvalidInputError):
+        tr.combined_loss(a, b, tr.LossConfig(), fe)
+    assert tr.combined_loss(a, b, tr.LossConfig(perceptual_weight=0.0), fe) > 0
+
+
+def test_combined_graph_float64_constants_are_float64(rng):
+    # the graph's constants follow its input dtype, so a float64 run matches
+    # float64 arithmetic: eps at zero residual, and the plain weighted sum
+    a, b = random_pair(rng)
+    p2 = np.stack([a.real, a.imag], -1).astype(np.float64)
+    t2 = np.stack([b.real, b.imag], -1).astype(np.float64)
+    fe = tr.FeatureExtractor()
+    cfg = tr.LossConfig(perceptual_weight=0.1)
+    with ad.no_recording():
+        zero = tr._combined_graph(ad.constant(p2), p2, cfg, fe).value
+        total = tr._combined_graph(ad.constant(p2), t2, cfg, fe).value
+        parts = (
+            tr._charbonnier_graph(ad.constant(p2), t2, cfg).value
+            + 0.1 * tr._perceptual_graph(ad.constant(p2), t2, fe).value
+        )
+    assert zero.dtype == total.dtype == np.float64
+    assert zero == pytest.approx(cfg.epsilon, rel=1e-15)
+    assert total == parts
 
 
 # ---------------------------------------------------------------------------
