@@ -511,10 +511,11 @@ def _tiles(lead, count):
             yield outer + (slice(i, i + step),)
 
 
-def _fwd_attention_probs(q, kt, scale):
+def _fwd_attention_probs(q, k, scale):
     # P is the one score-sized allocation; each tile runs the matmul into it,
     # then the scale and the softmax in place. The tiles are views, so each
     # matrix product is the one a whole-batch matmul makes.
+    kt = np.swapaxes(k, -1, -2)
     n, m = q.shape[-2], kt.shape[-1]
     p = np.empty(q.shape[:-2] + (n, m), dtype=np.result_type(q, kt))
     scale = np.asarray(scale, dtype=p.dtype)
@@ -529,13 +530,15 @@ def _fwd_attention_probs(q, kt, scale):
 def _vjp_attention_probs(g, rec):
     # the taped ops of the matmul -> scale mul -> softmax chain this primitive
     # replaces, in its order, so the gradients keep their bits and a
-    # Hessian-vector product can differentiate them again
-    q, kt = rec.inputs
+    # Hessian-vector product can differentiate them again. dk is the
+    # transpose of the chain's dkᵀ; the shorter matmul(swapaxes(ds), q)
+    # moves the last bits of Hessian-vector products
+    q, k = rec.inputs
     ds = _softmax_vjp(g, rec.out, -1)
     ds = mul(ds, _lift(rec.kwargs["scale"], ds))
-    dq = None if q.stop else matmul(ds, swapaxes(kt, -1, -2))
-    dkt = None if kt.stop else matmul(swapaxes(q, -1, -2), ds)
-    return dq, dkt
+    dq = None if q.stop else matmul(ds, k)
+    dk = None if k.stop else swapaxes(matmul(swapaxes(q, -1, -2), ds), -1, -2)
+    return dq, dk
 
 
 def _fwd_stop_gradient(a):
@@ -639,7 +642,7 @@ def _fwd_batch_norm_train(x, gamma, beta, axes, eps):
     var = np.mean(xc * xc, axis=axes, keepdims=True)
     xhat = xc / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     out = gamma * xhat + beta
-    return out, (np.squeeze(mu), np.squeeze(var))
+    return out, None
 
 
 def _vjp_batch_norm_train(g, rec):
@@ -812,10 +815,7 @@ def attention_probs(q, k, scale):
         raise InvalidInputError(
             f"attention_probs needs (..., N, d) and (..., M, d), got {qs} and {ks}"
         )
-    # the key transpose stays a record of its own: the two cotangents of the
-    # keys then add in the transposed layout, as in the matmul chain this
-    # replaces, which keeps the bits of a Hessian-vector product through it
-    return _apply("attention_probs", q, swapaxes(k, -1, -2), scale=float(scale))
+    return _apply("attention_probs", q, k, scale=float(scale))
 
 
 def stop_gradient(a):

@@ -155,7 +155,9 @@ def _param_table(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], object]]:
             t[f"{u}.bn.running_var"] = ((c,), np.ones)
             for w in ("wq", "wk", "wv", "wo"):
                 t[f"{u}.attn.{w}"] = ((c, c), 1.0 / math.sqrt(c))
-            for b in ("bq", "bk", "bv", "bo"):
+            # no key bias: it adds q·b_k to every score of a row, and
+            # softmax cancels a shift shared by a whole row
+            for b in ("bq", "bv", "bo"):
                 t[f"{u}.attn.{b}"] = ((c,), np.zeros)
             t[f"{u}.mixer.w1"] = ((c, e), 1.0 / math.sqrt(c))
             t[f"{u}.mixer.b1"] = ((e,), np.zeros)
@@ -213,7 +215,7 @@ def _heads_merge(tok):
 def _mha(tok, p, heads, probe=None, probe_key=None):
     """Multi-head scaled-dot-product attention over the trailing token axis."""
     q = _heads_split(_linear(tok, p["wq"], p["bq"]), heads)
-    k = _heads_split(_linear(tok, p["wk"], p["bk"]), heads)
+    k = _heads_split(ad.matmul(tok, p["wk"]), heads)
     v = _heads_split(_linear(tok, p["wv"], p["bv"]), heads)
     probs = ad.attention_probs(q, k, 1.0 / math.sqrt(q.shape[-1]))
     if probe is not None:
@@ -345,6 +347,8 @@ def _embed(z, pv, cfg):
     and adds the in-window position bias and the per-slice bias.
     """
     b, t, h, w = z.shape
+    if t > cfg.slice_depth:
+        raise InvalidInputError(f"chunk depth {t} exceeds slice_depth {cfg.slice_depth}")
     wp = cfg.window * cfg.patch
     ph, pw = (-h) % wp, (-w) % wp
     # elements, not bytes; guards index math everywhere downstream
@@ -379,11 +383,7 @@ def forward_graph(
     the losses use. ``stats`` collects per-norm batch statistics in train mode;
     ``probe`` collects attention probabilities by unit name.
     """
-    _, t, h, w = z.shape
-    if t > cfg.slice_depth:
-        raise InvalidInputError(
-            f"chunk depth {t} exceeds slice_depth {cfg.slice_depth}"
-        )
+    _, _, h, w = z.shape
     x = _embed(z, pv, cfg)
     x2 = ad.complex_split(z, ch_axis=-1)
     hg, wg = x.shape[2], x.shape[3]
@@ -444,6 +444,12 @@ def _chunk_values(chunk) -> np.ndarray:
     return arr
 
 
+def _train_mode(mode: str) -> bool:
+    if mode not in ("train", "eval"):
+        raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
+    return mode == "train"
+
+
 def forward(chunk, params: ParameterSet, cfg: ModelConfig, mode: str = "eval"):
     """Denoise one chunk of T slices; returns a stack of the same shape.
 
@@ -451,23 +457,33 @@ def forward(chunk, params: ParameterSet, cfg: ModelConfig, mode: str = "eval"):
     (input, params); mode 'train' normalizes with batch statistics and folds
     them into the running buffers.
     """
-    if mode not in ("train", "eval"):
-        raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
+    train = _train_mode(mode)
     data = _chunk_values(chunk)
     z = ad.constant(data[None])
     stats: dict = {}
     with ad.no_recording():
         pv = lift_params(params)
-        res = forward_graph(z, pv, cfg, train=(mode == "train"), stats=stats)
-    if mode == "train":
+        res = forward_graph(z, pv, cfg, train=train, stats=stats)
+    if train:
         update_running_stats(params, stats, cfg.bn_momentum)
     out = np.asarray(res["output"].value)[0]
     return ComplexImageStack(np.ascontiguousarray(out.astype(np.complex64)))
 
 
-def _grid_in(grid, params: dict):
-    """A (T,C,H,W) grid as a (1,T,H,W,C) constant, and ``params`` as constants."""
+def _grid_in(grid, params: dict, cfg: ModelConfig, windowed: bool = True):
+    """A (T,C,H,W) grid as a (1,T,H,W,C) constant, and ``params`` as constants.
+
+    The grid must have ``cfg.channels`` channels and, if ``windowed``, H and W
+    padded to multiples of the window.
+    """
     vals = grid.values if isinstance(grid, FeatureGrid) else FeatureGrid(grid).values
+    _, c, h, w = vals.shape
+    if c != cfg.channels:
+        raise InvalidInputError(f"grid has {c} channels, config says {cfg.channels}")
+    if windowed and (h % cfg.window or w % cfg.window):
+        raise InvalidInputError(
+            f"grid {h}x{w} not padded to window multiples of {cfg.window}"
+        )
     x = ad.constant(np.transpose(vals, (0, 2, 3, 1))[None])
     return x, {k: ad.constant(v) for k, v in params.items()}
 
@@ -491,14 +507,7 @@ def embed(chunk, params: ParameterSet, cfg: ModelConfig) -> FeatureGrid:
 
 def _unit_op(unit: str):
     def op(grid, unit_params: dict, cfg: ModelConfig, return_probs: bool = False):
-        x, pvu = _grid_in(grid, unit_params)
-        _, _, h, w, c = x.shape
-        if c != cfg.channels:
-            raise InvalidInputError(f"grid has {c} channels, config says {cfg.channels}")
-        if unit in ("local", "global") and (h % cfg.window or w % cfg.window):
-            raise InvalidInputError(
-                f"grid {h}x{w} not padded to window multiples of {cfg.window}"
-            )
+        x, pvu = _grid_in(grid, unit_params, cfg, windowed=unit != "slice")
         probe: dict = {}
         with ad.no_recording():
             res = _grid_out(_ATTEND[unit](x, pvu, cfg, probe, "probs"))
@@ -522,9 +531,10 @@ def attention_cell(grid, cell_params: dict, cfg: ModelConfig, mode: str = "eval"
     ``slice.bn.gamma`` or ``local.attn.wq`` (the layout ``ParameterSet.subset``
     produces for one cell prefix).
     """
-    x, pv = _grid_in(grid, cell_params)
+    train = _train_mode(mode)
+    x, pv = _grid_in(grid, cell_params, cfg)
     with ad.no_recording():
-        return _grid_out(_cell(x, pv, cfg, train=(mode == "train")))
+        return _grid_out(_cell(x, pv, cfg, train))
 
 
 def cell_output_bound(cell_params: dict, cfg: ModelConfig, input_bound: float = 1.0) -> float:
@@ -577,6 +587,9 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, dict]:
     # the seed is a Philox key word
     if type(init_seed) is not int or not 0 <= init_seed < 2**64:
         raise FormatError(f"{path}: init_seed must be an integer in [0, 2**64)", offset=16)
+    # files written before the key bias was dropped carry an ``attn.bk`` per
+    # unit; softmax cancels it, so it goes unread
+    tensors = {n: t for n, t in tensors.items() if not n.endswith(".attn.bk")}
     return ParameterSet(tensors, init_seed), cfg, manifest.get("extra", {})
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from imt.imgstack import ComplexImageStack
+from imt.network import ParameterSet
 
 
 @pytest.fixture
@@ -35,6 +36,24 @@ def _rewrite_manifest(valid, out, edit):
 @pytest.fixture(scope="session")
 def rewrite_manifest():
     return _rewrite_manifest
+
+
+def _with_key_bias(params, bias=None):
+    """``params`` in the layout checkpoints had before the attention key bias
+    was dropped: an ``attn.bk`` after each ``attn.bq``, zero unless ``bias``
+    maps a shape to its values."""
+    tensors = {}
+    for name, t in params.tensors.items():
+        tensors[name] = t
+        if name.endswith(".attn.bq"):
+            bk = np.zeros_like(t) if bias is None else bias(t.shape).astype(np.float32)
+            tensors[name[: -len("bq")] + "bk"] = bk
+    return ParameterSet(tensors, params.init_seed)
+
+
+@pytest.fixture(scope="session")
+def with_key_bias():
+    return _with_key_bias
 
 
 @pytest.fixture

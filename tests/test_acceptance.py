@@ -253,6 +253,7 @@ def test_ac06_architecture_invariants():
         assert float(np.max(np.abs(b.data - 2.0 * a.data))) <= tol
 
 
+@pytest.mark.slow
 def test_ac07_training_efficacy(tmp_path):
     with criterion("AC-7", "trained model beats noisy by 2 dB and wavelet baseline by 0.5 dB"):
         gmodel = GmapModel(kind="radial_ramp", alpha=1.0)

@@ -302,6 +302,41 @@ def test_denoise_checkpoint_config_mismatch_exits_4(work, phantom_dir):
     assert not (work / "never.imts").exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.pop("stage1.cell0.local.attn.wq"),
+        lambda t: t.update({"stage1.cell0.local.attn.bias": np.zeros(8, np.float32)}),
+    ],
+    ids=["missing tensor", "unexpected tensor"],
+)
+def test_denoise_checkpoint_inventory_mismatch_exits_4(phantom_dir, tmp_path, edit):
+    params = init_params(SMALL_MODEL, 0)
+    edit(params.tensors)
+    ckpt = tmp_path / "inventory.ckpt"
+    save_checkpoint(ckpt, params, SMALL_MODEL)
+    out = tmp_path / "never.imts"
+    assert main(["denoise", "--model", str(ckpt),
+                 "--in", str(phantom_dir / "phantom_000.imts"), "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bias", [None, lambda shape: np.full(shape, 0.5)],
+                         ids=["zero key bias", "nonzero key bias"])
+def test_denoise_key_bias_checkpoint(phantom_dir, trained, tmp_path, with_key_bias, bias):
+    # checkpoints written before the key bias was dropped carry an `attn.bk`
+    # per unit; softmax cancels it, so it is dropped on load and the file
+    # denoises to the bytes the same weights give without it
+    params, cfg, _ = load_checkpoint(trained)
+    old = tmp_path / "with_bk.ckpt"
+    save_checkpoint(old, with_key_bias(params, bias), cfg)
+    src = str(phantom_dir / "phantom_003.imts")
+    outs = [tmp_path / "new.imts", tmp_path / "old.imts"]
+    for ckpt, out in zip((trained, old), outs):
+        assert main(["denoise", "--model", str(ckpt), "--in", src, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_denoise_corrupt_checkpoint_exits_2(work, phantom_dir, tmp_path, corrupt_containers):
     bad = work / "corrupt.ckpt"
     bad.write_bytes(b"definitely not a checkpoint")
@@ -309,7 +344,7 @@ def test_denoise_corrupt_checkpoint_exits_2(work, phantom_dir, tmp_path, corrupt
     valid = tmp_path / "valid.ckpt"
     save_checkpoint(valid, init_params(SMALL_MODEL, 0), SMALL_MODEL)
     cases += corrupt_containers(
-        valid, "stage1.cell0.global.attn.bk", "stage1.cell0.global.attn.bo", init_seed="x"
+        valid, "stage1.cell0.global.attn.bq", "stage1.cell0.global.attn.bo", init_seed="x"
     )
     for label, path in cases:
         code = main(["denoise", "--model", str(path),

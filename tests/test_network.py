@@ -48,7 +48,7 @@ def identity_attn(c):
     eye = np.eye(c, dtype=np.float32)
     zero = np.zeros(c, dtype=np.float32)
     return {
-        "wq": eye, "bq": zero, "wk": eye, "bk": zero,
+        "wq": eye, "bq": zero, "wk": eye,
         "wv": eye, "bv": zero, "wo": eye, "bo": zero,
     }
 
@@ -107,12 +107,17 @@ class TestParameterSet:
     def test_subset(self):
         p = init_params(tiny_cfg(), 0)
         sub = p.subset("stage1.cell0.slice.attn")
-        assert set(sub) == {"wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"}
+        assert set(sub) == {"wq", "bq", "wk", "wv", "bv", "wo", "bo"}
         with pytest.raises(InvalidInputError):
             p.subset("stage9")
 
 
 class TestEmbed:
+    def test_chunk_deeper_than_slice_depth_rejected(self, rng):
+        cfg = tiny_cfg(slice_depth=2)
+        with pytest.raises(InvalidInputError, match="slice_depth"):
+            embed(complex_chunk(rng, 3, 8, 8), init_params(cfg, 0), cfg)
+
     def test_shape_contract(self, rng):
         cfg = tiny_cfg()
         p = init_params(cfg, 0)
@@ -241,7 +246,10 @@ class TestBlockedGrid:
         # magnitude and norm VJPs let the binary primitives broadcast instead
         # of taping broadcast copies. 2358 -> 2322: attention_probs replaces
         # the score matmul, scale mul and softmax records of each of the 18
-        # attention units (-2 per unit); its VJP tapes the ops they did
+        # attention units (-2 per unit); its VJP tapes the ops they did.
+        # 2322 -> 2250: the key bias goes, and attention_probs takes k itself
+        # (-4 per unit: the bias add, its cotangent's reduce_sum and, net, two
+        # transposes of the keys and their cotangents)
         cfg = tiny_cfg()
         params = init_params(cfg, 0)
         z = complex_chunk(rng, 2, 6, 10, scale=1.0)[None]  # padded, then cropped
@@ -250,7 +258,7 @@ class TestBlockedGrid:
             out = forward_graph(ad.constant(z), pv, cfg, train=True)
             loss = ad.reduce_sum(ad.square(out["pred2"]))
             ad.backward(loss, [pv[n] for n in params.trainable_names()], create_graph=True)
-            assert len(tape.records) == 2322
+            assert len(tape.records) == 2250
 
 
 class TestGlobalAttention:
@@ -360,6 +368,22 @@ class TestAttentionCell:
         grid = rng.normal(size=(2, 8, 8, 8)).astype(np.float32)
         out = attention_cell(grid, sub, cfg).values
         assert np.array_equal(out, grid)
+
+    @pytest.mark.parametrize(
+        "shape, mode, match",
+        [
+            ((2, 6, 8, 8), "eval", "channels"),
+            ((2, 8, 6, 8), "eval", "window multiples"),
+            ((2, 8, 8, 8), "bogus", "mode"),
+        ],
+    )
+    def test_bad_input_rejected(self, rng, shape, mode, match):
+        # as forward and the unit operations reject it
+        cfg = tiny_cfg()
+        p = init_params(cfg, 1).subset("stage1.cell0")
+        grid = rng.normal(size=shape).astype(np.float32)
+        with pytest.raises(InvalidInputError, match=match):
+            attention_cell(grid, p, cfg, mode=mode)
 
     def test_output_shape(self, rng):
         cfg = tiny_cfg()
