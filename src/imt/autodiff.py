@@ -1,10 +1,16 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
-Every primitive application is recorded on the active Tape; ``backward`` walks
-the records in reverse and calls each primitive's registered VJP. VJPs are
-written in terms of taped primitives themselves, so gradients can be
-differentiated again (``create_graph=True``), which is how the optimizer's
-Hessian-vector products are produced.
+Every primitive application with a differentiable input is recorded on the
+active Tape; ``backward`` walks the records in reverse and calls each
+primitive's registered VJP. VJPs are written in terms of taped primitives
+themselves, so gradients can be differentiated again (``create_graph=True``),
+which is how the optimizer's Hessian-vector products are produced.
+
+One notion of constant: constants in, untaped constant out. A primitive whose
+inputs are all constants returns a constant and records nothing, since no
+gradient can reach it, so inference needs no context to run untaped.
+``no_recording()`` is for graphs that hold leaves, such as a first-order
+backward pass.
 
 Conventions:
   - computation is dtype-preserving: float32 graphs stay float32, and the
@@ -193,9 +199,10 @@ def missing_derivatives() -> set[str]:
 
 def _apply(name: str, *inputs: Variable, **kwargs) -> Variable:
     value, aux = _FORWARD[name](*[v.value for v in inputs], **kwargs)
-    out = Variable(value)
+    stop = all(v.stop for v in inputs)
+    out = Variable(value, stop=stop)
     tape = current_tape()
-    if tape is not None:
+    if tape is not None and not stop:
         tape.records.append(OpRecord(name, inputs, out, kwargs, aux))
     return out
 
@@ -346,26 +353,13 @@ def _vjp_div(g, rec):
     return da, db
 
 
-def _fwd_pow_const(a, exponent):
-    return a**exponent, None
+def _fwd_square(a):
+    return a**2, None
 
 
-def _vjp_pow_const(g, rec):
+def _vjp_square(g, rec):
     (a,) = rec.inputs
-    p = rec.kwargs["exponent"]
-    if p == 2:
-        inner = mul(a, _lift(2.0, a))
-    else:
-        inner = mul(pow_const(a, exponent=p - 1), _lift(float(p), a))
-    return (mul(g, inner),)
-
-
-def _fwd_exp(a):
-    return np.exp(a), None
-
-
-def _vjp_exp(g, rec):
-    return (mul(g, rec.out),)
+    return (mul(g, mul(a, _lift(2.0, a))),)
 
 
 def _fwd_sqrt(a):
@@ -541,14 +535,6 @@ def _vjp_attention_probs(g, rec):
     return dq, dk
 
 
-def _fwd_stop_gradient(a):
-    return a, None
-
-
-def _vjp_stop_gradient(g, rec):
-    return (None,)
-
-
 def _fwd_maximum_const(a, threshold):
     return np.maximum(a, threshold), None
 
@@ -693,8 +679,7 @@ register("sub", _fwd_sub, _vjp_sub)
 register("neg", _fwd_neg, _vjp_neg)
 register("mul", _fwd_mul, _vjp_mul)
 register("div", _fwd_div, _vjp_div)
-register("pow_const", _fwd_pow_const, _vjp_pow_const)
-register("exp", _fwd_exp, _vjp_exp)
+register("square", _fwd_square, _vjp_square)
 register("sqrt", _fwd_sqrt, _vjp_sqrt)
 register("sigmoid", _fwd_sigmoid, _vjp_sigmoid)
 register("matmul", _fwd_matmul, _vjp_matmul)
@@ -705,7 +690,6 @@ register("reduce_sum", _fwd_reduce_sum, _vjp_reduce_sum)
 register("reduce_mean", _fwd_reduce_mean, _vjp_reduce_mean)
 register("softmax", _fwd_softmax, _vjp_softmax)
 register("attention_probs", _fwd_attention_probs, _vjp_attention_probs)
-register("stop_gradient", _fwd_stop_gradient, _vjp_stop_gradient)
 register("maximum_const", _fwd_maximum_const, _vjp_maximum_const)
 register("gather", _fwd_gather, _vjp_gather)
 register("scatter_add", _fwd_scatter_add, _vjp_scatter_add)
@@ -740,16 +724,8 @@ def div(a, b):
     return _apply("div", a, b)
 
 
-def pow_const(a, exponent):
-    return _apply("pow_const", a, exponent=exponent)
-
-
 def square(a):
-    return _apply("pow_const", a, exponent=2)
-
-
-def exp(a):
-    return _apply("exp", a)
+    return _apply("square", a)
 
 
 def sqrt(a):
@@ -819,7 +795,7 @@ def attention_probs(q, k, scale):
 
 
 def stop_gradient(a):
-    return _apply("stop_gradient", a)
+    return constant(a.value)
 
 
 def maximum_const(a, threshold):

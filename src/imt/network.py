@@ -461,9 +461,7 @@ def forward(chunk, params: ParameterSet, cfg: ModelConfig, mode: str = "eval"):
     data = _chunk_values(chunk)
     z = ad.constant(data[None])
     stats: dict = {}
-    with ad.no_recording():
-        pv = lift_params(params)
-        res = forward_graph(z, pv, cfg, train=train, stats=stats)
+    res = forward_graph(z, lift_params(params), cfg, train=train, stats=stats)
     if train:
         update_running_stats(params, stats, cfg.bn_momentum)
     out = np.asarray(res["output"].value)[0]
@@ -500,17 +498,14 @@ def embed(chunk, params: ParameterSet, cfg: ModelConfig) -> FeatureGrid:
     Output spatial dims are the padded image dims divided by the patch size.
     """
     data = _chunk_values(chunk)
-    with ad.no_recording():
-        x = _embed(ad.constant(data[None]), lift_params(params), cfg)
-    return _grid_out(x)
+    return _grid_out(_embed(ad.constant(data[None]), lift_params(params), cfg))
 
 
 def _unit_op(unit: str):
     def op(grid, unit_params: dict, cfg: ModelConfig, return_probs: bool = False):
         x, pvu = _grid_in(grid, unit_params, cfg, windowed=unit != "slice")
         probe: dict = {}
-        with ad.no_recording():
-            res = _grid_out(_ATTEND[unit](x, pvu, cfg, probe, "probs"))
+        res = _grid_out(_ATTEND[unit](x, pvu, cfg, probe, "probs"))
         if return_probs:
             return res, probe["probs"]
         return res
@@ -533,8 +528,7 @@ def attention_cell(grid, cell_params: dict, cfg: ModelConfig, mode: str = "eval"
     """
     train = _train_mode(mode)
     x, pv = _grid_in(grid, cell_params, cfg)
-    with ad.no_recording():
-        return _grid_out(_cell(x, pv, cfg, train))
+    return _grid_out(_cell(x, pv, cfg, train))
 
 
 def cell_output_bound(cell_params: dict, cfg: ModelConfig, input_bound: float = 1.0) -> float:

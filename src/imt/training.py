@@ -174,9 +174,7 @@ class FeatureExtractor:
             raise InvalidInputError("feature extractor takes magnitude (real) images")
         dtype = np.float64 if a.dtype == np.float64 else np.float32
         self.feature_shape(a.shape[1], a.shape[2])
-        with ad.no_recording():
-            out = self._phi(ad.constant(a[..., None].astype(dtype)), dtype=dtype)
-        return out.value
+        return self._phi(ad.constant(a[..., None].astype(dtype)), dtype=dtype).value
 
     def save(self, path) -> None:
         """Write weights in the shared tensor container (IMTFEXT1 magic)."""
@@ -217,12 +215,11 @@ def _check_pair(pred, target):
 
 
 def _evaluate(graph, pred, target, *args) -> float:
-    """Run a loss graph on a checked complex pair in float64, untaped."""
+    """Run a loss graph on a checked complex pair in float64, as constants."""
     a, b = _check_pair(pred, target)
-    with ad.no_recording():
-        pred2 = ad.complex_split(ad.constant(a.astype(np.complex128)))
-        target2 = ad.complex_split(ad.constant(b.astype(np.complex128))).value
-        return float(graph(pred2, target2, *args).value)
+    pred2 = ad.complex_split(ad.constant(a.astype(np.complex128)))
+    target2 = ad.complex_split(ad.constant(b.astype(np.complex128))).value
+    return float(graph(pred2, target2, *args).value)
 
 
 def charbonnier_loss(pred, target, cfg: LossConfig = LossConfig()) -> float:
@@ -517,10 +514,6 @@ def _sample_pair(rng, example, t_depth, patch, sigma_range, augmenting, ratio):
     return pair
 
 
-def _two_channel(data: np.ndarray) -> np.ndarray:
-    return np.stack([data.real, data.imag], axis=-1).astype(np.float32)
-
-
 def _val_loss(params, examples, mcfg, tcfg, lcfg, fe) -> float:
     """Mean combined loss over a fixed, seeded set of validation pairs."""
     total = 0.0
@@ -636,7 +629,9 @@ def train(
                         for ex in picks
                     ]
                     z = np.stack([p[0].data for p in pairs])
-                    target2 = np.stack([_two_channel(p[1].data) for p in pairs])
+                    target2 = ad.complex_split(
+                        ad.constant(np.stack([p[1].data for p in pairs]))
+                    ).value
 
                     stats: dict = {}
                     refresh = state.t % train_cfg.hessian_update_every == 0

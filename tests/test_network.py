@@ -249,7 +249,9 @@ class TestBlockedGrid:
         # attention units (-2 per unit); its VJP tapes the ops they did.
         # 2322 -> 2250: the key bias goes, and attention_probs takes k itself
         # (-4 per unit: the bias add, its cotangent's reduce_sum and, net, two
-        # transposes of the keys and their cotangents)
+        # transposes of the keys and their cotangents). 2250 -> 2231: a primitive
+        # whose inputs are all constants is untaped, so the input chain (the
+        # complex split and patchify) and the cotangents of constants go
         cfg = tiny_cfg()
         params = init_params(cfg, 0)
         z = complex_chunk(rng, 2, 6, 10, scale=1.0)[None]  # padded, then cropped
@@ -258,7 +260,7 @@ class TestBlockedGrid:
             out = forward_graph(ad.constant(z), pv, cfg, train=True)
             loss = ad.reduce_sum(ad.square(out["pred2"]))
             ad.backward(loss, [pv[n] for n in params.trainable_names()], create_graph=True)
-            assert len(tape.records) == 2250
+            assert len(tape.records) == 2231
 
 
 class TestGlobalAttention:
@@ -471,6 +473,15 @@ class TestForward:
         snap = after.copy()
         forward(complex_chunk(rng, 2, 16, 16), p, cfg, mode="eval")
         assert np.array_equal(p.tensors[name], snap)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_untaped_under_an_active_tape(self, rng, mode):
+        # its inputs and parameters are constants, so nothing reaches the tape
+        cfg = tiny_cfg()
+        p = init_params(cfg, 0)
+        with ad.Tape() as tape:
+            forward(complex_chunk(rng, 2, 16, 16), p, cfg, mode=mode)
+        assert tape.records == []
 
     def test_chunk_deeper_than_slice_depth_rejected(self, rng):
         cfg = tiny_cfg(slice_depth=2)
