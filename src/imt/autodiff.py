@@ -505,19 +505,37 @@ def _tiles(lead, count):
             yield outer + (slice(i, i + step),)
 
 
-def _fwd_attention_probs(q, k, scale):
-    # P is the one score-sized allocation; each tile runs the matmul into it,
-    # then the scale and the softmax in place. The tiles are views, so each
-    # matrix product is the one a whole-batch matmul makes.
+def _prob_tiles(q, k, scale, p=None):
+    """Yield ``(idx, tile)`` per leading-axis tile, where ``tile`` holds
+    softmax(q[idx] @ k[idx]ᵀ * scale): a view of ``p`` if one is given, else
+    of one buffer that every tile reuses. The tiles are views, so each matrix
+    product is the one a whole-batch matmul makes."""
     kt = np.swapaxes(k, -1, -2)
     n, m = q.shape[-2], kt.shape[-1]
-    p = np.empty(q.shape[:-2] + (n, m), dtype=np.result_type(q, kt))
-    scale = np.asarray(scale, dtype=p.dtype)
+    dtype = np.result_type(q, kt)
+    scale = np.asarray(scale, dtype=dtype)
+    buf = None
     for idx in _tiles(q.shape[:-2], _SCORE_TILE // max(n * m, 1)):
-        tile = p[idx]
-        np.matmul(q[idx], kt[idx], out=tile)
+        qi = q[idx]
+        if p is not None:
+            tile = p[idx]
+        else:
+            if buf is None:
+                buf = np.empty(qi.shape[:-1] + (m,), dtype=dtype)
+            # only the last tile can be shorter, along its first axis
+            tile = buf[: len(qi)]
+        np.matmul(qi, kt[idx], out=tile)
         tile *= scale
         _softmax_rows(tile, tile)
+        yield idx, tile
+
+
+def _fwd_attention_probs(q, k, scale):
+    # P is the one score-sized allocation; each tile runs the matmul into it,
+    # then the scale and the softmax in place
+    p = np.empty(q.shape[:-1] + k.shape[-2:-1], dtype=np.result_type(q, k))
+    for _ in _prob_tiles(q, k, scale, p):
+        pass
     return p, None
 
 
@@ -786,12 +804,37 @@ def attention_probs(q, k, scale):
     """softmax(q @ kᵀ * scale) over the last axis, for (..., N, d) queries
     and (..., M, d) keys with one leading shape: the attention probabilities,
     without the score and scaled-score temporaries."""
+    _check_qk(q, k)
+    return _apply("attention_probs", q, k, scale=float(scale))
+
+
+def _check_qk(q, k):
     qs, ks = tuple(q.shape), tuple(k.shape)
     if len(qs) < 2 or len(ks) != len(qs) or ks[:-2] + ks[-1:] != qs[:-2] + qs[-1:]:
         raise InvalidInputError(
-            f"attention_probs needs (..., N, d) and (..., M, d), got {qs} and {ks}"
+            f"attention needs (..., N, d) queries and (..., M, d) keys, got {qs} and {ks}"
         )
-    return _apply("attention_probs", q, k, scale=float(scale))
+
+
+def attention(q, k, v, scale):
+    """softmax(q @ kᵀ * scale) @ v for (..., N, d) queries, (..., M, d) keys
+    and (..., M, e) values with one leading shape.
+
+    Taped, it is ``matmul(attention_probs(q, k, scale), v)``. Untaped (all
+    three constants) it multiplies each tile of probabilities by its values
+    as the tile is made, so no more than one tile of the probabilities exists
+    at a time; the tiles are views, so the output has the same bits.
+    """
+    if not (q.stop and k.stop and v.stop):
+        return matmul(attention_probs(q, k, scale), v)
+    _check_qk(q, k)
+    qv, vv = q.value, v.value
+    if vv.ndim != qv.ndim or vv.shape[:-1] != k.shape[:-1]:
+        raise InvalidInputError(f"attention needs (..., M, e) values, got {vv.shape}")
+    out = np.empty(qv.shape[:-1] + vv.shape[-1:], dtype=np.result_type(qv, k.value, vv))
+    for idx, tile in _prob_tiles(qv, k.value, float(scale)):
+        np.matmul(tile, vv[idx], out=out[idx])
+    return constant(out)
 
 
 def stop_gradient(a):

@@ -2,8 +2,9 @@
 denoising, evaluation, and statistics reporting.
 
 Exit codes: 0 success, 1 usage, 2 input or format problem, 3 training
-divergence, 4 checkpoint mismatch, 5 external-baseline failure. Output files
-are written atomically; a failed run leaves no partial file behind.
+divergence, 4 checkpoint mismatch, 5 external-baseline failure, 6 out of
+memory. Output files are written atomically; a failed run leaves no partial
+file behind.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_FORMAT = 2
 EXIT_DIVERGED = 3
 EXIT_CHECKPOINT = 4
 EXIT_BASELINE = 5
+EXIT_MEMORY = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,6 +320,9 @@ def main(argv=None) -> int:
     except (ImtError, OSError) as exc:
         print(f"imt: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except MemoryError as exc:
+        print(f"imt: out of memory (MemoryError): {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

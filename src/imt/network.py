@@ -217,11 +217,15 @@ def _mha(tok, p, heads, probe=None, probe_key=None):
     q = _heads_split(_linear(tok, p["wq"], p["bq"]), heads)
     k = _heads_split(ad.matmul(tok, p["wk"]), heads)
     v = _heads_split(_linear(tok, p["wv"], p["bv"]), heads)
-    probs = ad.attention_probs(q, k, 1.0 / math.sqrt(q.shape[-1]))
-    if probe is not None:
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    if probe is None:
+        out = ad.attention(q, k, v, scale)
+    else:
+        # only a probe holds the whole probability array
+        probs = ad.attention_probs(q, k, scale)
         probe[probe_key] = np.asarray(probs.value)
-    out = _heads_merge(ad.matmul(probs, v))
-    return _linear(out, p["wo"], p["bo"])
+        out = ad.matmul(probs, v)
+    return _linear(_heads_merge(out), p["wo"], p["bo"])
 
 
 # The blocked grid splits H and W into blocks of w, giving the axes
@@ -504,7 +508,7 @@ def embed(chunk, params: ParameterSet, cfg: ModelConfig) -> FeatureGrid:
 def _unit_op(unit: str):
     def op(grid, unit_params: dict, cfg: ModelConfig, return_probs: bool = False):
         x, pvu = _grid_in(grid, unit_params, cfg, windowed=unit != "slice")
-        probe: dict = {}
+        probe = {} if return_probs else None
         res = _grid_out(_ATTEND[unit](x, pvu, cfg, probe, "probs"))
         if return_probs:
             return res, probe["probs"]

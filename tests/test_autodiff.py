@@ -506,3 +506,48 @@ class TestAttentionProbs:
         q, k = (ad.constant(rng.normal(size=s)) for s in (q_shape, k_shape))
         with pytest.raises(InvalidInputError):
             ad.attention_probs(q, k, 1.0)
+
+
+class TestAttention:
+    # leading shapes and tile sizes (matrices per tile) that give one tile,
+    # several whole tiles and a short last tile; None keeps the real size
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, lead, count",
+        [
+            (8, (3, 5), None),  # one tile
+            (8, (3, 5), 5),  # three tiles of 5 along the first axis
+            (8, (3, 5), 2),  # tiles of 2, 2 and 1 per row of the first axis
+            (169, (20,), None),  # the real tile size: tiles of 9, 9 and 2
+        ],
+    )
+    def test_untaped_equals_taped_composite(self, rng, n, lead, count, dtype, monkeypatch):
+        if count is not None:
+            monkeypatch.setattr(ad, "_SCORE_TILE", count * n * n + 1)
+        q0, k0 = attention_inputs(rng, lead, n, 4, dtype)
+        # head-split values, a strided view as network._mha passes them
+        v0 = rng.normal(size=lead + (n, 2, 3)).astype(dtype).swapaxes(-3, -2)[..., 1, :, :]
+        q, k, v = ad.constant(q0), ad.constant(k0), ad.constant(v0)
+        out = ad.attention(q, k, v, 0.5)
+        ref = ad.matmul(ad.attention_probs(q, k, 0.5), v)
+        assert out.stop and out.dtype == dtype and out.shape == lead + (n, 3)
+        assert np.array_equal(out.value, ref.value)
+
+    def test_records_only_when_taped(self, rng):
+        q0, k0 = attention_inputs(rng, (2,), 8, 4, np.float32)
+        v0 = rng.normal(size=(2, 8, 4)).astype(np.float32)
+        with ad.Tape() as tape:
+            ad.attention(ad.constant(q0), ad.constant(k0), ad.constant(v0), 0.5)
+            assert tape.records == []
+            q = ad.leaf(q0)
+            out = ad.attention(q, ad.constant(k0), ad.constant(v0), 0.5)
+            assert [r.name for r in tape.records] == ["attention_probs", "matmul"]
+        assert not out.stop and np.array_equal(
+            out.value, np.matmul(attention_oracle(q0, k0, 0.5), v0)
+        )
+
+    @pytest.mark.parametrize("v_shape", [(2, 5, 3), (2, 4), (3, 4, 3)])
+    def test_rejects_mismatched_values(self, rng, v_shape):
+        q, k = ad.constant(rng.normal(size=(2, 4, 3))), ad.constant(rng.normal(size=(2, 4, 3)))
+        with pytest.raises(InvalidInputError):
+            ad.attention(q, k, ad.constant(rng.normal(size=v_shape)), 1.0)

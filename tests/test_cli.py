@@ -3,6 +3,7 @@
 import json
 import shlex
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,44 @@ def test_denoise_checkpoint_config_mismatch_exits_4(work, phantom_dir):
                  "--out", str(work / "never.imts")])
     assert code == 4
     assert not (work / "never.imts").exists()
+
+
+@pytest.mark.slow
+def test_denoise_256_stack_default_config(tmp_path):
+    # global attention spans all 32*32 windows at 256x256: one whole
+    # probability array would be 4 GiB for this stack; denoising holds one
+    # tile of it at a time and peaks near 430 MiB
+    assert main(["phantom", "-n", "1", "--slices", "4", "--height", "256", "--width", "256",
+                 "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    cfg = ModelConfig()
+    save_checkpoint(tmp_path / "default.ckpt", init_params(cfg, 0), cfg)
+    out = tmp_path / "denoised.imts"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(["denoise", "--model", str(tmp_path / "default.ckpt"),
+                     "--in", str(tmp_path / "phantom_000.imts"), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert load_stack(out).shape == (4, 256, 256)
+    assert peak < 640 * 2**20
+
+
+def test_denoise_out_of_memory_exits_6(work, phantom_dir, trained, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(network, "forward", no_memory)
+    out = work / "never_oom.imts"
+    code = main(["denoise", "--model", str(trained),
+                 "--in", str(phantom_dir / "phantom_000.imts"), "--out", str(out)])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("imt: out of memory") and "MemoryError" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

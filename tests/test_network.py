@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -482,6 +484,22 @@ class TestForward:
         with ad.Tape() as tape:
             forward(complex_chunk(rng, 2, 16, 16), p, cfg, mode=mode)
         assert tape.records == []
+
+    def test_untaped_peak_holds_no_whole_probabilities(self, rng):
+        # window 4 at 64x64 gives global attention 256 tokens, so one whole
+        # probability array is (1,4,4,4,2,256,256) float32, 32 MiB; holding
+        # one tile at a time the forward peaks near 7 MiB
+        cfg = tiny_cfg()
+        p = init_params(cfg, 0)
+        z = complex_chunk(rng, 4, 64, 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forward(z, p, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_chunk_deeper_than_slice_depth_rejected(self, rng):
         cfg = tiny_cfg(slice_depth=2)
