@@ -130,37 +130,6 @@ class Variable:
         label = f" {self.name!r}" if self.name else ""
         return f"Variable{label}(shape={np.shape(self.value)}, dtype={np.asarray(self.value).dtype})"
 
-    # arithmetic sugar; scalars are lifted at the operand's dtype
-    def __add__(self, other):
-        return add(self, _lift(other, self))
-
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other, self))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other, self))
-
 
 def leaf(value, name: str | None = None) -> Variable:
     """Differentiable input node (parameters, checked inputs)."""
@@ -173,8 +142,7 @@ def constant(value, name: str | None = None) -> Variable:
 
 
 def _lift(x, like: Variable) -> Variable:
-    if isinstance(x, Variable):
-        return x
+    """A scalar as a constant at ``like``'s dtype."""
     arr = np.asarray(x)
     if arr.dtype != like.value.dtype and np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(like.value.dtype)
@@ -190,11 +158,6 @@ def register(name: str, forward: Callable, vjp: Callable) -> None:
 
 def registered_primitives() -> set[str]:
     return set(_FORWARD)
-
-
-def missing_derivatives() -> set[str]:
-    """Primitives with a forward but no registered VJP (must be empty)."""
-    return set(_FORWARD) - set(_VJP)
 
 
 def _apply(name: str, *inputs: Variable, **kwargs) -> Variable:
@@ -466,24 +429,6 @@ def _softmax_rows(a, out):
     return out
 
 
-def _fwd_softmax(a, axis):
-    # in place, so the forward allocates one score-sized array, not three
-    out = np.empty_like(a)
-    _softmax_rows(np.moveaxis(a, axis, -1), np.moveaxis(out, axis, -1))
-    return out, None
-
-
-def _softmax_vjp(g, s, axis):
-    # fused Jacobian-vector form: s * (g - sum(g * s))
-    gs = mul(g, s)
-    total = reduce_sum(gs, axis=axis, keepdims=True)
-    return mul(s, sub(g, total))
-
-
-def _vjp_softmax(g, rec):
-    return (_softmax_vjp(g, rec.out, rec.kwargs["axis"]),)
-
-
 # Score elements per tile of the attention_probs forward: 2**18 float32 values
 # (1 MiB) stay in one core's L2 cache from the matmul through the softmax.
 _SCORE_TILE = 2**18
@@ -546,7 +491,10 @@ def _vjp_attention_probs(g, rec):
     # transpose of the chain's dkᵀ; the shorter matmul(swapaxes(ds), q)
     # moves the last bits of Hessian-vector products
     q, k = rec.inputs
-    ds = _softmax_vjp(g, rec.out, -1)
+    s = rec.out
+    # the softmax's fused Jacobian-vector form s * (g - sum(g * s)), then scale
+    total = reduce_sum(mul(g, s), axis=-1, keepdims=True)
+    ds = mul(s, sub(g, total))
     ds = mul(ds, _lift(rec.kwargs["scale"], ds))
     dq = None if q.stop else matmul(ds, k)
     dk = None if k.stop else swapaxes(matmul(swapaxes(q, -1, -2), ds), -1, -2)
@@ -657,7 +605,7 @@ def _vjp_batch_norm_train(g, rec):
     mu = reduce_mean(x, axis=axes, keepdims=True)
     xc = sub(x, mu)
     var = reduce_mean(mul(xc, xc), axis=axes, keepdims=True)
-    inv = div(_lift(1.0, x), sqrt(var + _lift(eps, x)))
+    inv = div(_lift(1.0, x), sqrt(add(var, _lift(eps, x))))
     # full-shape, so the cotangents of its two uses below add before one
     # reduction; reducing each use apart changes the bits of a Hessian-vector
     # product taken through this VJP
@@ -684,7 +632,7 @@ def _fwd_batch_norm_eval(x, gamma, beta, rmean, rvar, eps):
 def _vjp_batch_norm_eval(g, rec):
     x, gamma, beta, rmean, rvar = rec.inputs
     eps = rec.kwargs["eps"]
-    inv = div(_lift(1.0, x), sqrt(rvar + _lift(eps, x)))
+    inv = div(_lift(1.0, x), sqrt(add(rvar, _lift(eps, x))))
     dx = mul(g, mul(gamma, inv))
     xhat = mul(sub(x, rmean), inv)
     dgamma = sum_to(mul(g, xhat), gamma.shape)
@@ -706,7 +654,6 @@ register("reshape", _fwd_reshape, _vjp_reshape)
 register("broadcast_to", _fwd_broadcast_to, _vjp_broadcast_to)
 register("reduce_sum", _fwd_reduce_sum, _vjp_reduce_sum)
 register("reduce_mean", _fwd_reduce_mean, _vjp_reduce_mean)
-register("softmax", _fwd_softmax, _vjp_softmax)
 register("attention_probs", _fwd_attention_probs, _vjp_attention_probs)
 register("maximum_const", _fwd_maximum_const, _vjp_maximum_const)
 register("gather", _fwd_gather, _vjp_gather)
@@ -761,9 +708,7 @@ def silu(a):
 
 def matmul(a, b):
     # 1-D operands have asymmetric numpy semantics the VJP does not cover
-    if np.ndim(a.value if isinstance(a, Variable) else a) < 2 or np.ndim(
-        b.value if isinstance(b, Variable) else b
-    ) < 2:
+    if len(a.shape) < 2 or len(b.shape) < 2:
         raise InvalidInputError("matmul requires operands with at least 2 dims")
     return _apply("matmul", a, b)
 
@@ -794,10 +739,6 @@ def reduce_sum(a, axis=None, keepdims=False):
 
 def reduce_mean(a, axis=None, keepdims=False):
     return _apply("reduce_mean", a, axis=axis, keepdims=keepdims)
-
-
-def softmax(a, axis=-1):
-    return _apply("softmax", a, axis=axis)
 
 
 def attention_probs(q, k, scale):
@@ -835,10 +776,6 @@ def attention(q, k, v, scale):
     for idx, tile in _prob_tiles(qv, k.value, float(scale)):
         np.matmul(tile, vv[idx], out=out[idx])
     return constant(out)
-
-
-def stop_gradient(a):
-    return constant(a.value)
 
 
 def maximum_const(a, threshold):
@@ -881,17 +818,16 @@ def batch_norm_eval(x, gamma, beta, rmean, rvar, eps=1e-5):
 
 def reflect_pad2d(a, pads, axes=(-2, -1)):
     """Reflect padding on two axes, built from gathers so its adjoint
-    (fold-back of mirrored contributions) is exact."""
+    (fold-back of mirrored contributions) is exact. A pad longer than the
+    axis keeps reflecting, as np.pad's "reflect" mode does."""
     for (lo, hi), axis in zip(pads, axes):
         if not (lo or hi):
             continue
         n = a.shape[axis]
-        if lo >= n or hi >= n:
-            raise InvalidInputError(f"reflect pad ({lo},{hi}) too large for size-{n} axis")
-        idx = np.concatenate(
-            [np.arange(lo, 0, -1), np.arange(n), np.arange(n - 2, n - 2 - hi, -1)]
-        )
-        a = gather(a, idx, axis=axis)
+        # a triangle wave of period 2(n-1) over the positions -lo .. n-1+hi
+        period = max(2 * (n - 1), 1)
+        idx = np.arange(-lo, n + hi) % period
+        a = gather(a, np.minimum(idx, period - idx), axis=axis)
     return a
 
 

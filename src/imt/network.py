@@ -218,13 +218,11 @@ def _mha(tok, p, heads, probe=None, probe_key=None):
     k = _heads_split(ad.matmul(tok, p["wk"]), heads)
     v = _heads_split(_linear(tok, p["wv"], p["bv"]), heads)
     scale = 1.0 / math.sqrt(q.shape[-1])
-    if probe is None:
-        out = ad.attention(q, k, v, scale)
-    else:
-        # only a probe holds the whole probability array
-        probs = ad.attention_probs(q, k, scale)
-        probe[probe_key] = np.asarray(probs.value)
-        out = ad.matmul(probs, v)
+    out = ad.attention(q, k, v, scale)
+    if probe is not None:
+        # only a probe holds the whole probability array; it adds no record
+        with ad.no_recording():
+            probe[probe_key] = np.asarray(ad.attention_probs(q, k, scale).value)
     return _linear(_heads_merge(out), p["wo"], p["bo"])
 
 

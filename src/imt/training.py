@@ -33,7 +33,7 @@ from .errors import (
 )
 from .imgstack import ComplexImageStack, GFactorMap, power_normalize
 from .kspace import kspace_resize
-from .noisegen import SIGMA_TRAINING_RANGE, GmapModel, NoiseSpec, make_gmap, make_training_pair
+from .noisegen import SIGMA_TRAINING_RANGE, NoiseSpec, make_gmap, make_training_pair
 from .network import (
     ModelConfig,
     ParameterSet,

@@ -237,6 +237,22 @@ def test_train_overlong_integer_exits_2(work, phantom_dir, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_train_default_model_at_patch_8(work, phantom_dir, capsys):
+    # the default window of 8 leaves the low branch a 4-wide grid to pad by 4
+    cfg = work / "patch8.json"
+    cfg.write_text(json.dumps({
+        "train": {"epochs": 1, "batch": 1, "steps_per_epoch": 1, "patch_sizes": [8],
+                  "val_samples": 1},
+    }))
+    out = work / "t7"
+    code = main(["train", "--config", str(cfg), "--data", str(phantom_dir),
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = (out / "train_log.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert load_checkpoint(out / "best.ckpt")[1] == ModelConfig()
+
+
 def test_train_divergence_exits_3(work, phantom_dir, capsys):
     cfg = work / "diverge.json"
     cfg.write_text(json.dumps({

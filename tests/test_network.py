@@ -409,7 +409,11 @@ class TestAttentionCell:
 
 
 class TestForward:
-    @pytest.mark.parametrize("shape", [(2, 16, 16), (4, 32, 48)])
+    # 8x8 halves to a 4-wide low branch that pads 4 more; 4x4 and 3x30 pad
+    # past the image on embedding
+    @pytest.mark.parametrize(
+        "shape", [(2, 16, 16), (4, 32, 48), (1, 8, 8), (2, 5, 20), (1, 4, 4), (1, 3, 30)]
+    )
     def test_output_shape_default_config(self, rng, shape):
         cfg = ModelConfig()
         p = init_params(cfg, 0)
@@ -484,6 +488,37 @@ class TestForward:
         with ad.Tape() as tape:
             forward(complex_chunk(rng, 2, 16, 16), p, cfg, mode=mode)
         assert tape.records == []
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_probe_observes_without_changing_outputs(self, rng, train):
+        # a probe records P beside the same ad.attention call, so the outputs
+        # keep their bits and a taped run keeps its records
+        cfg = tiny_cfg()
+        params = init_params(cfg, 2)
+        for name in params.trainable_names():
+            t = params.tensors[name]
+            t += rng.normal(0.0, 0.05, t.shape).astype(np.float32)
+        z = ad.constant(complex_chunk(rng, 2, 6, 10, scale=1.0)[None])  # padded, then cropped
+        probe, runs = {}, []
+        for sink in (None, probe):
+            with ad.Tape() as tape:
+                pv = lift_params(params, trainable=train)
+                res = forward_graph(z, pv, cfg, train=train, stats={}, probe=sink)
+            runs.append((res, len(tape.records)))
+        (plain, n_plain), (probed, n_probed) = runs
+        for key in ("output", "pred2"):
+            assert np.array_equal(probed[key].value, plain[key].value)
+        assert n_probed == n_plain and (n_plain > 0) == train
+        units = {
+            f"{block}.cell{i}.{unit}"
+            for block in ("stage1", "stage2.high", "stage2.low")
+            for i in range(cfg.cells_per_block)
+            for unit in ("slice", "local", "global")
+        }
+        assert set(probe) == units and len(units) == 18
+        for p in probe.values():
+            assert p.dtype == np.float32 and p.shape[-1] == p.shape[-2]
+            assert p.min() >= 0.0 and np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-6
 
     def test_untaped_peak_holds_no_whole_probabilities(self, rng):
         # window 4 at 64x64 gives global attention 256 tokens, so one whole
