@@ -1,9 +1,12 @@
 import json
 import struct
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from imt import network
 from imt.imgstack import ComplexImageStack
 from imt.network import ParameterSet
 
@@ -86,3 +89,31 @@ def corrupt_containers(tmp_path):
             yield label, path
 
     return variants
+
+
+@pytest.fixture
+def halves(monkeypatch):
+    """Untaped cell branches run in halves on two threads, on any machine.
+
+    They hold numpy's OpenBLAS at one thread where its count can be set, and
+    use a stand-in setter elsewhere. The real count is 2 meanwhile, so a hold
+    left in place shows. ``blas_get`` reads it (None with the stand-in), and
+    ``started`` lists every thread started meanwhile.
+    """
+    real = network._blas_threads()
+    blas = real or (lambda: 1, lambda n: None)
+    monkeypatch.setattr(network, "_blas_threads", lambda: blas)
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    prior = blas[0]()
+    blas[1](2)
+    try:
+        yield SimpleNamespace(blas_get=real[0] if real else None, started=started)
+    finally:
+        blas[1](prior)

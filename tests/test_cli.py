@@ -3,6 +3,7 @@
 import json
 import shlex
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -323,7 +324,7 @@ def test_denoise_checkpoint_config_mismatch_exits_4(work, phantom_dir):
 def test_denoise_256_stack_default_config(tmp_path):
     # global attention spans all 32*32 windows at 256x256: one whole
     # probability array would be 4 GiB for this stack; denoising holds one
-    # tile of it at a time and peaks near 430 MiB
+    # tile of it at a time and peaks near 400 MiB
     assert main(["phantom", "-n", "1", "--slices", "4", "--height", "256", "--width", "256",
                  "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     cfg = ModelConfig()
@@ -356,6 +357,30 @@ def test_denoise_out_of_memory_exits_6(work, phantom_dir, trained, monkeypatch, 
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
+
+
+def test_denoise_out_of_memory_in_helper_half_exits_6(work, phantom_dir, trained, halves,
+                                                      monkeypatch, capsys):
+    mixer = network._mixer
+
+    def helper_out_of_memory(x, p):
+        if threading.current_thread() in halves.started:
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        return mixer(x, p)
+
+    monkeypatch.setattr(network, "_mixer", helper_out_of_memory)
+    threads = threading.active_count()
+    blas = halves.blas_get() if halves.blas_get else None
+    out = work / "never_oom_helper.imts"
+    code = main(["denoise", "--model", str(trained),
+                 "--in", str(phantom_dir / "phantom_000.imts"), "--out", str(out)])
+    assert code == 6 and halves.started
+    err = capsys.readouterr().err
+    assert err.startswith("imt: out of memory") and "MemoryError" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    assert threading.active_count() == threads
+    assert blas is None or halves.blas_get() == blas
 
 @pytest.mark.parametrize(
     "edit",

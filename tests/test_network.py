@@ -1,9 +1,12 @@
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from imt import autodiff as ad
+from imt import network
 from imt.errors import (
     FormatError,
     InvalidInputError,
@@ -20,6 +23,7 @@ from imt.network import (
     _GLOBAL,
     _LOCAL,
     _blocks,
+    _cell,
     _unblocks,
     embed,
     forward,
@@ -555,6 +559,105 @@ class TestForward:
         cfg = tiny_cfg()
         with pytest.raises(InvalidInputError):
             forward(complex_chunk(rng, 2, 16, 16), init_params(cfg, 0), cfg, mode="test")
+
+
+class TestHalves:
+    """An untaped cell branch runs as two halves on two threads, same bits."""
+
+    @staticmethod
+    def perturbed(cfg, rng, dtype=np.float32):
+        params = init_params(cfg, 2)
+        for name in params.trainable_names():
+            t = params.tensors[name]
+            t += rng.normal(0.0, 0.05, t.shape).astype(np.float32)
+        return params.astype(dtype)
+
+    # the serial oracle lifts the parameters as leaves, which never split
+    @pytest.mark.parametrize(
+        "shape, window, dtype",
+        [
+            ((1, 8, 8), 4, np.float32),  # T = 1: only slice attention splits
+            ((3, 13, 21), 8, np.float32),  # odd H, W; the 8x12 low branch pads to 8x16
+            ((8, 8, 12), 4, np.float32),  # the 4x6 low branch pads to 4x8
+            ((3, 13, 21), 8, np.float64),
+        ],
+    )
+    def test_forward_equals_serial_bitwise(self, rng, halves, shape, window, dtype):
+        cfg = tiny_cfg(window=window, slice_depth=8)
+        params = self.perturbed(cfg, rng, dtype)
+        z = complex_chunk(rng, *shape, scale=1.0).astype(np.result_type(dtype, 1j))
+        serial = forward_graph(ad.constant(z[None]), lift_params(params, trainable=True), cfg, False)
+        assert not halves.started
+        split = forward_graph(ad.constant(z[None]), lift_params(params), cfg, False)
+        assert halves.started
+        for key in ("output", "pred2"):
+            assert split[key].value.dtype == serial[key].value.dtype
+            assert np.array_equal(split[key].value, serial[key].value)
+        out = forward(z, params, cfg).data
+        assert np.array_equal(out, serial["output"].value[0].astype(np.complex64))
+
+    @pytest.mark.parametrize("shape", [(3, 8, 8, 12), (1, 8, 4, 4)])
+    def test_attention_cell_equals_serial_bitwise(self, rng, halves, shape):
+        cfg = tiny_cfg()
+        sub = self.perturbed(cfg, rng).subset("stage1.cell1")
+        grid = rng.normal(size=shape).astype(np.float32)
+        out = attention_cell(grid, sub, cfg, mode="eval").values
+        assert halves.started
+        x = ad.constant(np.transpose(grid, (0, 2, 3, 1))[None])
+        serial = _cell(x, {k: ad.leaf(v) for k, v in sub.items()}, cfg, train=False)
+        assert np.array_equal(out, np.transpose(serial.value[0], (0, 3, 1, 2)))
+
+    def test_no_thread_outlives_a_forward(self, rng, halves, monkeypatch):
+        cfg = tiny_cfg()
+        params = self.perturbed(cfg, rng)
+        z = complex_chunk(rng, 3, 16, 16)
+        threads = threading.active_count()
+        blas = halves.blas_get() if halves.blas_get else None
+
+        def settled():
+            return threading.active_count() == threads and (
+                blas is None or halves.blas_get() == blas
+            )
+
+        forward(z, params, cfg)
+        assert halves.started and settled()
+        mixer = network._mixer
+
+        def helper_out_of_memory(x, p):
+            if threading.current_thread() in halves.started:
+                raise MemoryError("helper half")
+            return mixer(x, p)
+
+        monkeypatch.setattr(network, "_mixer", helper_out_of_memory)
+        with pytest.raises(MemoryError, match="helper half"):
+            forward(z, params, cfg)
+        assert settled()
+
+    def test_serial_without_a_blas_setter(self, rng, halves, monkeypatch):
+        cfg = tiny_cfg()
+        params = self.perturbed(cfg, rng)
+        z = complex_chunk(rng, 3, 16, 16)
+        split = forward(z, params, cfg).data
+        assert halves.started
+        halves.started.clear()
+        monkeypatch.setattr(network, "_blas_threads", lambda: None)
+        serial = forward(z, params, cfg).data
+        assert not halves.started
+        assert np.array_equal(serial, split)
+
+    def test_warning_state_reaches_the_helper(self, rng, halves):
+        # numpy's errstate lives in a context variable, so a helper outside
+        # the caller's context would warn, and here raise, on the overflow
+        cfg = tiny_cfg()
+        p = init_params(cfg, 6)
+        p.tensors["stage1.cell0.local.mixer.w2"][:] = 1e38
+        p.tensors["stage1.cell0.local.mixer.b1"][:] = 30.0
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError) as exc:
+                forward(complex_chunk(rng, 2, 16, 16), p, cfg)
+        assert halves.started
+        assert "stage1.cell0" in str(exc.value)
 
 
 class TestCheckpoint:

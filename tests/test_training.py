@@ -1,5 +1,6 @@
 """Losses, optimizer, augmentation, and training-loop behavior."""
 
+import functools
 import hashlib
 import logging
 import math
@@ -492,8 +493,8 @@ def test_hessian_estimate_deterministic_given_seed():
 SECOND_ORDER_SHA256 = "0e13acea7f19f3eddde01878fbb0c9bd4077af2d63cae0a619de21410d05c6b5"
 
 
-def _second_order_step(dtype):
-    """Gradients and one Hutchinson product of the full loss, in ``dtype``."""
+def _second_order_problem(dtype):
+    """Model, perturbed parameters and a loss over {name: Variable}, in ``dtype``."""
     cfg = ModelConfig(channels=8, heads=2, window=4, patch=1, slice_depth=4)
     rng = np.random.default_rng(17)
     base = init_params(cfg, 0)
@@ -509,12 +510,21 @@ def _second_order_step(dtype):
     z = rng.standard_normal((1, 2, 6, 10)) + 1j * rng.standard_normal((1, 2, 6, 10))
     target2 = rng.standard_normal((1, 2, 6, 10, 2)).astype(dtype)
     fe = tr.FeatureExtractor(seed=0)
+
+    def loss(pv):
+        out = forward_graph(ad.constant(z.astype(np.result_type(dtype, 1j))), pv, cfg, train=True)
+        return tr._combined_graph(out["pred2"], target2, tr.LossConfig(), fe)
+
+    return params, loss
+
+
+def _second_order_step(dtype):
+    """Gradients and one Hutchinson product of the full loss, in ``dtype``."""
+    params, loss = _second_order_problem(dtype)
     with ad.Tape():
         pv = lift_params(params, trainable=True)
         wrt = [pv[n] for n in params.trainable_names()]
-        out = forward_graph(ad.constant(z.astype(np.result_type(dtype, 1j))), pv, cfg, train=True)
-        loss = tr._combined_graph(out["pred2"], target2, tr.LossConfig(), fe)
-        gs = ad.backward(loss, wrt, create_graph=True)
+        gs = ad.backward(loss(pv), wrt, create_graph=True)
         hvp = tr._hutchinson(gs, wrt, np.random.default_rng(5))
     return [g.value for g in gs], hvp
 
@@ -540,6 +550,39 @@ def test_second_order_step_float32_tracks_float64():
     g64, h64 = map(flat, _second_order_step(np.float64))
     for lo, hi, tol in ((g32, g64, 1e-6), (h32, h64, 3e-6)):
         assert np.linalg.norm(lo - hi) < tol * np.linalg.norm(hi)
+
+
+def test_second_order_step_hvp_matches_central_differences():
+    # the create_graph Hessian-vector product against central differences of
+    # the gradient, in float64 along fixed Gaussian directions. At h = 1e-5
+    # the relative l2 error measured 9.6e-8 to 4.0e-7 here (1.0e-5 at worst
+    # over other directions), 100 times that at h = 1e-4, so it is
+    # truncation-limited; a sigmoid VJP scaled by 1.001 gives 1.9e-4
+    params, loss = _second_order_problem(np.float64)
+    names = params.trainable_names()
+
+    def grads(tensors, direction=None):
+        # the gradient at ``tensors``, or with a direction its derivative along it
+        with ad.Tape():
+            pv = lift_params(ParameterSet(tensors, 0), trainable=True)
+            wrt = [pv[n] for n in names]
+            gs = ad.backward(loss(pv), wrt, create_graph=direction is not None)
+            if direction is not None:
+                dots = [ad.reduce_sum(ad.mul(g, ad.constant(direction[n]))) for g, n in zip(gs, names)]
+                gs = ad.backward(functools.reduce(ad.add, dots), wrt)
+        return np.concatenate([np.ravel(g.value) for g in gs])
+
+    h = 1e-5
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        d = {n: rng.standard_normal(params.tensors[n].shape) for n in names}
+        hvp = grads(params.tensors, d)
+        shifted = [
+            {n: t + sign * h * d[n] if n in d else t for n, t in params.tensors.items()}
+            for sign in (1, -1)
+        ]
+        fd = (grads(shifted[0]) - grads(shifted[1])) / (2 * h)
+        assert np.linalg.norm(hvp - fd) < 1e-4 * np.linalg.norm(fd)
 
 
 # ---------------------------------------------------------------------------
