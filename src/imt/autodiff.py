@@ -347,11 +347,30 @@ def _fwd_matmul(a, b):
     return a @ b, None
 
 
-def _vjp_matmul(g, rec):
-    a, b = rec.inputs
+def _matmul_grads(g, a, b):
     da = None if a.stop else sum_to(matmul(g, swapaxes(b, -1, -2)), a.shape)
     db = None if b.stop else sum_to(matmul(swapaxes(a, -1, -2), g), b.shape)
     return da, db
+
+
+def _vjp_matmul(g, rec):
+    return _matmul_grads(g, *rec.inputs)
+
+
+def _fwd_linear(x, w, b):
+    # the bias is added in place on the product, so the bits are those of
+    # add(matmul(x, w), b) with one array instead of two, at add's dtype
+    out = (x @ w).astype(np.result_type(x, w, b), copy=False)
+    out += b
+    return out, None
+
+
+def _vjp_linear(g, rec):
+    # the taped calls of the add and matmul records this primitive replaces,
+    # in their order, so gradients and Hessian-vector products keep their bits
+    x, w, b = rec.inputs
+    db = None if b.stop else sum_to(g, b.shape)
+    return (*_matmul_grads(g, x, w), db)
 
 
 def _fwd_transpose(a, axes):
@@ -649,6 +668,7 @@ register("square", _fwd_square, _vjp_square)
 register("sqrt", _fwd_sqrt, _vjp_sqrt)
 register("sigmoid", _fwd_sigmoid, _vjp_sigmoid)
 register("matmul", _fwd_matmul, _vjp_matmul)
+register("linear", _fwd_linear, _vjp_linear)
 register("transpose", _fwd_transpose, _vjp_transpose)
 register("reshape", _fwd_reshape, _vjp_reshape)
 register("broadcast_to", _fwd_broadcast_to, _vjp_broadcast_to)
@@ -711,6 +731,16 @@ def matmul(a, b):
     if len(a.shape) < 2 or len(b.shape) < 2:
         raise InvalidInputError("matmul requires operands with at least 2 dims")
     return _apply("matmul", a, b)
+
+
+def linear(x, w, b):
+    """x @ w + b for (..., N, K) activations, a (K, M) weight and an (M,)
+    bias: a biased projection as one record, with no pre-bias product."""
+    if len(x.shape) < 2 or len(w.shape) != 2 or b.shape != w.shape[-1:]:
+        raise InvalidInputError(
+            f"linear needs (..., N, K), (K, M) and (M,) operands, got {x.shape}, {w.shape}, {b.shape}"
+        )
+    return _apply("linear", x, w, b)
 
 
 def transpose(a, axes):

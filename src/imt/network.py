@@ -201,10 +201,6 @@ def init_params(cfg: ModelConfig, init_seed: int = 0) -> ParameterSet:
 # ---------------------------------------------------------------------------
 # Variable-space building blocks (x layout: B, T, H, W, C)
 
-def _linear(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
-
-
 def _heads_split(tok, heads):
     # (..., N, C) -> (..., heads, N, d)
     c = tok.shape[-1]
@@ -219,16 +215,16 @@ def _heads_merge(tok):
 
 def _mha(tok, p, heads, probe=None, probe_key=None):
     """Multi-head scaled-dot-product attention over the trailing token axis."""
-    q = _heads_split(_linear(tok, p["wq"], p["bq"]), heads)
+    q = _heads_split(ad.linear(tok, p["wq"], p["bq"]), heads)
     k = _heads_split(ad.matmul(tok, p["wk"]), heads)
-    v = _heads_split(_linear(tok, p["wv"], p["bv"]), heads)
+    v = _heads_split(ad.linear(tok, p["wv"], p["bv"]), heads)
     scale = 1.0 / math.sqrt(q.shape[-1])
     out = ad.attention(q, k, v, scale)
     if probe is not None:
         # only a probe holds the whole probability array; it adds no record
         with ad.no_recording():
             probe[probe_key] = np.asarray(ad.attention_probs(q, k, scale).value)
-    return _linear(_heads_merge(out), p["wo"], p["bo"])
+    return ad.linear(_heads_merge(out), p["wo"], p["bo"])
 
 
 # The blocked grid splits H and W into blocks of w, giving the axes
@@ -292,7 +288,7 @@ def _bn(x, p, cfg, train, stats=None, key=None):
 
 
 def _mixer(x, p):
-    return _linear(ad.silu(_linear(x, p["w1"], p["b1"])), p["w2"], p["b2"])
+    return ad.linear(ad.silu(ad.linear(x, p["w1"], p["b1"])), p["w2"], p["b2"])
 
 
 def _subdict(pv: dict, prefix: str) -> dict:
@@ -434,7 +430,7 @@ def _embed(z, pv, cfg):
     if ph or pw:
         z = ad.reflect_pad2d(z, ((0, ph), (0, pw)), axes=(2, 3))
     x = _patchify(ad.complex_split(z, ch_axis=-1), cfg.patch)
-    x = _linear(x, pv["embed.weight"], pv["embed.bias"])
+    x = ad.linear(x, pv["embed.weight"], pv["embed.bias"])
     _, _, hg, wg, c = x.shape
     wdw = cfg.window
     pos = ad.reshape(pv["embed.pos_bias"], (1, 1, 1, wdw, 1, wdw, c))
@@ -468,7 +464,7 @@ def forward_graph(
     x = _block(x, pv, cfg, train, stats, probe, "stage1")
     high = _block(x, pv, cfg, train, stats, probe, "stage2.high")
     low = ad.subsample2d(x, 2, axes=(2, 3))
-    low = _linear(low, pv["stage2.down.weight"], pv["stage2.down.bias"])
+    low = ad.linear(low, pv["stage2.down.weight"], pv["stage2.down.bias"])
     hs, ws = low.shape[2], low.shape[3]
     low = _block(_pad_to_window(low, cfg.window), pv, cfg, train, stats, probe, "stage2.low")
     if low.shape[2] != hs or low.shape[3] != ws:
@@ -476,7 +472,7 @@ def forward_graph(
     up = ad.bilinear_resize2d(low, hg, wg, axes=(2, 3))
     fused = ad.add(high, up)
 
-    out2 = _linear(fused, pv["head.weight"], pv["head.bias"])
+    out2 = ad.linear(fused, pv["head.weight"], pv["head.bias"])
     out2 = _unpatchify(out2, cfg.patch)
     if out2.shape[2] != h or out2.shape[3] != w:
         out2 = ad.crop2d(out2, 0, 0, h, w, axes=(2, 3))

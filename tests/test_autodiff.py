@@ -388,6 +388,7 @@ class TestPrimitives:
         # register takes a forward and its VJP together
         required = {
             "matmul",
+            "linear",
             "attention_probs",
             "batch_norm_train",
             "batch_norm_eval",
@@ -583,3 +584,111 @@ class TestAttention:
         q, k = ad.constant(rng.normal(size=(2, 4, 3))), ad.constant(rng.normal(size=(2, 4, 3)))
         with pytest.raises(InvalidInputError):
             ad.attention(q, k, ad.constant(rng.normal(size=v_shape)), 1.0)
+
+
+def linear_inputs(rng, lead, dtype):
+    """(lead, 5, 6) activations, a (6, 7) weight and a (7,) bias."""
+    return (
+        rng.normal(size=lead + (5, 6)).astype(dtype),
+        rng.normal(size=(6, 7)).astype(dtype),
+        rng.normal(size=7).astype(dtype),
+    )
+
+
+def linear_tape(fn, x0, w0, b0):
+    """Forward value, first-order gradients, a Hessian-vector product and the
+    tape of ``fn(x, w, b)`` under a loss with curvature in every input."""
+    with ad.Tape() as tape:
+        x, w, b = ad.leaf(x0), ad.leaf(w0), ad.leaf(b0)
+        y = fn(x, w, b)
+        loss = ad.reduce_sum(ad.mul(ad.sigmoid(y), y))
+        gs = ad.backward(loss, [x, w, b], create_graph=True)
+        dots = [ad.reduce_sum(ad.mul(g, ad.square(g))) for g in gs]
+        hvp = ad.backward(ad.add(ad.add(dots[0], dots[1]), dots[2]), [x, w, b])
+    return y.value, [g.value for g in gs + hvp], tape
+
+
+def composite_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(2, 3, 4), (2, 2, 3, 2)])
+    def test_bitwise_equal_to_composite(self, rng, lead, dtype):
+        # 5-D and 6-D activations, as the cell units and the blocked grid give
+        x0, w0, b0 = linear_inputs(rng, lead, dtype)
+        untaped = ad.linear(ad.constant(x0), ad.constant(w0), ad.constant(b0))
+        ref = composite_linear(ad.constant(x0), ad.constant(w0), ad.constant(b0))
+        assert untaped.stop and untaped.dtype == dtype
+        assert np.array_equal(untaped.value, ref.value)
+        y, grads, _ = linear_tape(ad.linear, x0, w0, b0)
+        y_ref, grads_ref, _ = linear_tape(composite_linear, x0, w0, b0)
+        assert y.dtype == dtype and np.array_equal(y, y_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert g.dtype == dtype and np.array_equal(g, g_ref)
+
+    @pytest.mark.parametrize(
+        "dtypes", [(np.float32, np.float32, np.float64), (np.float32, np.float64, np.float32)]
+    )
+    def test_mixed_dtypes_promote_as_add_does(self, rng, dtypes):
+        x0, w0, b0 = (a.astype(t) for a, t in zip(linear_inputs(rng, (2, 3), np.float64), dtypes))
+        out = ad.linear(ad.constant(x0), ad.constant(w0), ad.constant(b0))
+        ref = composite_linear(ad.constant(x0), ad.constant(w0), ad.constant(b0))
+        assert out.dtype == ref.dtype == np.float64
+        assert np.array_equal(out.value, ref.value)
+
+    def test_create_graph_tapes_the_composite_records(self, rng):
+        # less the one forward record (matmul and add become linear), the
+        # tape of a second-order backward holds the same calls in the same order
+        x0, w0, b0 = linear_inputs(rng, (3,), np.float32)
+        records = linear_tape(ad.linear, x0, w0, b0)[2].records
+        records_ref = linear_tape(composite_linear, x0, w0, b0)[2].records
+        summary = lambda recs: [(r.name, r.out.shape) for r in recs]
+        assert summary(records_ref[:2]) == [("matmul", (3, 5, 7)), ("add", (3, 5, 7))]
+        assert summary(records[:1]) == [("linear", (3, 5, 7))]
+        assert summary(records[1:]) == summary(records_ref[2:])
+
+    def test_finite_difference_first_order(self, rng):
+        w0 = rng.normal(size=(2, 3, 4, 5))
+        pt = {"x": rng.normal(size=(2, 3, 4, 6)), "w": rng.normal(size=(6, 5)), "b": rng.normal(size=5)}
+
+        def f(v):
+            y = ad.linear(v["x"], v["w"], v["b"])
+            return ad.reduce_sum(ad.mul(ad.silu(y), ad.constant(w0)))
+
+        assert ad.finite_difference_check(f, pt, samples=80) < 1e-6
+
+    def test_finite_difference_second_order(self, rng):
+        # differentiates <grad f, u>, the Hessian-vector product Sophia takes
+        w0 = rng.normal(size=(3, 4, 5))
+        pt = {"x": rng.normal(size=(3, 4, 2)), "w": rng.normal(size=(2, 5)), "b": rng.normal(size=5)}
+        u = {name: rng.normal(size=v.shape) for name, v in pt.items()}
+
+        def grad_dot_u(v):
+            with contextlib.ExitStack() as stack:
+                if ad.current_tape() is None:  # a finite-difference evaluation
+                    stack.enter_context(ad.Tape())
+                    v = {name: ad.leaf(x.value) for name, x in v.items()}
+                y = ad.linear(v["x"], v["w"], v["b"])
+                f = ad.reduce_sum(ad.mul(ad.silu(y), ad.constant(w0)))
+                gs = ad.backward(f, [v[n] for n in ("x", "w", "b")], create_graph=True)
+                dots = [ad.reduce_sum(ad.mul(g, ad.constant(u[n]))) for g, n in zip(gs, "xwb")]
+                return ad.add(ad.add(dots[0], dots[1]), dots[2])
+
+        assert ad.finite_difference_check(grad_dot_u, pt, samples=60) < 1e-5
+
+    def test_replay_bitwise(self, rng):
+        x0, w0, b0 = linear_inputs(rng, (2,), np.float32)
+        tape = linear_tape(ad.linear, x0, w0, b0)[2]
+        assert tape.records[0].name == "linear"
+        tape.replay()
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [((6,), (6, 7), (7,)), ((2, 6), (1, 6, 7), (7,)), ((2, 6), (6, 7), (6,)), ((2, 6), (6, 7), (1, 7))],
+    )
+    def test_rejects_mismatched_operands(self, rng, x_shape, w_shape, b_shape):
+        x, w, b = (ad.constant(rng.normal(size=s)) for s in (x_shape, w_shape, b_shape))
+        with pytest.raises(InvalidInputError):
+            ad.linear(x, w, b)

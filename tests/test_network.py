@@ -257,7 +257,10 @@ class TestBlockedGrid:
         # (-4 per unit: the bias add, its cotangent's reduce_sum and, net, two
         # transposes of the keys and their cotangents). 2250 -> 2231: a primitive
         # whose inputs are all constants is untaped, so the input chain (the
-        # complex split and patchify) and the cotangents of constants go
+        # complex split and patchify) and the cotangents of constants go.
+        # 2231 -> 2138: linear replaces the matmul and add records of each of
+        # the 93 biased projections (-1 each, all in the forward); its VJP
+        # tapes the ops they did, so the second-order records stay the same
         cfg = tiny_cfg()
         params = init_params(cfg, 0)
         z = complex_chunk(rng, 2, 6, 10, scale=1.0)[None]  # padded, then cropped
@@ -266,7 +269,21 @@ class TestBlockedGrid:
             out = forward_graph(ad.constant(z), pv, cfg, train=True)
             loss = ad.reduce_sum(ad.square(out["pred2"]))
             ad.backward(loss, [pv[n] for n in params.trainable_names()], create_graph=True)
-            assert len(tape.records) == 2231
+            assert len(tape.records) == 2138
+
+    def test_no_bias_add_takes_a_matmul_product(self, rng):
+        # every biased projection is one linear record: no add of the forward
+        # tape takes a matmul's output (93 did when each was add(matmul))
+        cfg = tiny_cfg()
+        params = init_params(cfg, 0)
+        z = complex_chunk(rng, 2, 6, 10, scale=1.0)[None]
+        with ad.Tape() as tape:
+            forward_graph(ad.constant(z), lift_params(params, trainable=True), cfg, train=True)
+        products = {r.out.nid for r in tape.records if r.name == "matmul"}
+        assert not [
+            r for r in tape.records if r.name == "add" and products & {v.nid for v in r.inputs}
+        ]
+        assert [r.name for r in tape.records].count("linear") == 93
 
 
 class TestGlobalAttention:

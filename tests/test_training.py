@@ -493,10 +493,11 @@ def test_hessian_estimate_deterministic_given_seed():
 SECOND_ORDER_SHA256 = "0e13acea7f19f3eddde01878fbb0c9bd4077af2d63cae0a619de21410d05c6b5"
 
 
-def _second_order_problem(dtype):
-    """Model, perturbed parameters and a loss over {name: Variable}, in ``dtype``."""
+def _second_order_problem(dtype, seed=17):
+    """Model, perturbed parameters and a loss over {name: Variable}, in
+    ``dtype``; ``seed`` draws the perturbation, the input and the target."""
     cfg = ModelConfig(channels=8, heads=2, window=4, patch=1, slice_depth=4)
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(seed)
     base = init_params(cfg, 0)
     tensors = {}
     for n, t in base.tensors.items():
@@ -518,9 +519,9 @@ def _second_order_problem(dtype):
     return params, loss
 
 
-def _second_order_step(dtype):
+def _second_order_step(dtype, seed=17):
     """Gradients and one Hutchinson product of the full loss, in ``dtype``."""
-    params, loss = _second_order_problem(dtype)
+    params, loss = _second_order_problem(dtype, seed)
     with ad.Tape():
         pv = lift_params(params, trainable=True)
         wrt = [pv[n] for n in params.trainable_names()]
@@ -550,6 +551,20 @@ def test_second_order_step_float32_tracks_float64():
     g64, h64 = map(flat, _second_order_step(np.float64))
     for lo, hi, tol in ((g32, g64, 1e-6), (h32, h64, 3e-6)):
         assert np.linalg.norm(lo - hi) < tol * np.linalg.norm(hi)
+
+
+def test_second_order_step_float32_tracks_float64_over_draws():
+    # the figure behind the pinned draw's bound: the float32-vs-float64
+    # Hessian-vector-product gap (relative l2 over all tensors) over the
+    # perturbation draws 20-31 measured a median of 1.8e-6 and a max of
+    # 1.2e-5, and 4 of the 12 draws exceed the pinned test's 3e-6
+    flat = lambda arrays: np.concatenate([np.ravel(a).astype(np.float64) for a in arrays])
+    gaps = []
+    for seed in range(20, 32):
+        h32, h64 = (flat(_second_order_step(dtype, seed)[1]) for dtype in (np.float32, np.float64))
+        gaps.append(np.linalg.norm(h32 - h64) / np.linalg.norm(h64))
+    assert np.median(gaps) <= 3e-6
+    assert max(gaps) <= 3e-5
 
 
 def test_second_order_step_hvp_matches_central_differences():
