@@ -65,10 +65,12 @@ class OpRecord:
 
 
 class Tape:
-    """Recording of one differentiable computation (one training step)."""
+    """Recording of one differentiable computation (one training step).
+    ``consumed`` is set once a first-order ``backward`` has walked it."""
 
     def __init__(self):
         self.records: list[OpRecord] = []
+        self.consumed = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -183,6 +185,12 @@ def backward(
     calls are bitwise identical. With ``create_graph`` the gradient
     computation is itself recorded, enabling Hessian-vector products.
     Unreached leaves get exact-zero gradients.
+
+    Without ``create_graph`` the walk consumes the tape: it takes the
+    records and drops each once its VJP has run, so a record's forward
+    values die as the cotangents that replace them are made. A later
+    ``backward`` on that tape raises InvalidInputError. With it the tape is
+    kept, since a second walk visits its records again.
     """
     tape = current_tape()
     if tape is None:
@@ -191,13 +199,19 @@ def backward(
         raise InvalidInputError(
             f"backward differentiates scalars, got shape {np.shape(out.value)}"
         )
-    records = list(tape.records)
+    if tape.consumed:
+        raise InvalidInputError("tape already consumed by a first-order backward")
+    if create_graph:
+        records = list(tape.records)
+    else:
+        records, tape.records, tape.consumed = tape.records, [], True
     grads: dict[int, Variable] = {
         out.nid: constant(np.ones(np.shape(out.value), dtype=out.value.dtype))
     }
     ctx = no_recording() if not create_graph else contextlib.nullcontext()
     with ctx:
-        for rec in reversed(records):
+        while records:
+            rec = records.pop()
             g = grads.pop(rec.out.nid, None)
             if g is None:
                 continue

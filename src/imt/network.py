@@ -15,11 +15,13 @@ check runs it in float64).
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -324,6 +326,32 @@ def _blas_threads():
     return None
 
 
+_blas_hold = threading.Lock()
+_blas_holders = 0
+_blas_prior = None
+
+
+@contextlib.contextmanager
+def _blas_held(get, set_):
+    """OpenBLAS at one thread while any caller holds it. The thread count is
+    per process, so the hold is too: the first of overlapping holders saves
+    the count and the last restores it, and concurrent forwards cannot leave
+    the hold's 1 behind."""
+    global _blas_holders, _blas_prior
+    with _blas_hold:
+        if _blas_holders == 0:
+            _blas_prior = get()
+            set_(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_hold:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_(_blas_prior)
+
+
 def _in_halves(branch, x, axis):
     """``branch(x)``, computed on two halves of ``x`` along ``axis``, one on a
     helper thread, and joined.
@@ -339,18 +367,12 @@ def _in_halves(branch, x, axis):
     if blas is None or n < 2:
         return branch(x)
     lo, hi = (ad.constant(v) for v in np.split(x.value, [n // 2], axis=axis))
-    get, set_ = blas
-    prior = get()
-    set_(1)
-    try:
-        # the helper runs in a copy of this context, numpy's errstate included;
-        # leaving the pool joins it on every path
-        with ThreadPoolExecutor(1) as helper:
-            upper = helper.submit(contextvars.copy_context().run, branch, hi)
-            lower = branch(lo)
-            upper = upper.result()
-    finally:
-        set_(prior)
+    # the helper runs in a copy of this context, numpy's errstate included;
+    # leaving the pool joins it on every path
+    with _blas_held(*blas), ThreadPoolExecutor(1) as helper:
+        upper = helper.submit(contextvars.copy_context().run, branch, hi)
+        lower = branch(lo)
+        upper = upper.result()
     return ad.constant(np.concatenate([lower.value, upper.value], axis=axis))
 
 

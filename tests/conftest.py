@@ -96,12 +96,13 @@ def halves(monkeypatch):
     """Untaped cell branches run in halves on two threads, on any machine.
 
     They hold numpy's OpenBLAS at one thread where its count can be set, and
-    use a stand-in setter elsewhere. The real count is 2 meanwhile, so a hold
-    left in place shows. ``blas_get`` reads it (None with the stand-in), and
-    ``started`` lists every thread started meanwhile.
+    a stand-in count elsewhere. The count is 2 meanwhile, so a hold left in
+    place shows. ``blas_get`` reads it, and ``started`` lists every thread
+    started meanwhile.
     """
     real = network._blas_threads()
-    blas = real or (lambda: 1, lambda n: None)
+    count = [1]
+    blas = real or (lambda: count[0], lambda n: count.__setitem__(0, n))
     monkeypatch.setattr(network, "_blas_threads", lambda: blas)
     started = []
     start = threading.Thread.start
@@ -114,6 +115,6 @@ def halves(monkeypatch):
     prior = blas[0]()
     blas[1](2)
     try:
-        yield SimpleNamespace(blas_get=real[0] if real else None, started=started)
+        yield SimpleNamespace(blas_get=blas[0], started=started)
     finally:
         blas[1](prior)

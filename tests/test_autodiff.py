@@ -103,13 +103,26 @@ class TestBasics:
         assert err < 1e-6
 
     def test_repeated_backward_bitwise_identical(self, rng):
+        # a first-order backward consumes its tape, so each walk gets a fresh
+        # tape of the same forward
         x0 = rng.normal(size=(10,))
-        with ad.Tape():
-            x = ad.leaf(x0)
-            loss = charbonnier(ad.sigmoid(x), ad.constant(np.zeros(10)))
-            (g1,) = ad.backward(loss, [x])
-            (g2,) = ad.backward(loss, [x])
-        assert np.array_equal(g1.value, g2.value)
+        grads = []
+        for _ in range(2):
+            with ad.Tape():
+                x = ad.leaf(x0)
+                loss = charbonnier(ad.sigmoid(x), ad.constant(np.zeros(10)))
+                grads.append(ad.backward(loss, [x])[0].value)
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_first_order_backward_consumes_the_tape(self, rng):
+        with ad.Tape() as tape:
+            x = ad.leaf(rng.normal(size=(4,)))
+            loss = ad.reduce_sum(ad.sigmoid(x))
+            ad.backward(loss, [x])
+            assert tape.records == [] and tape.consumed
+            # a second walk would find no records and give zero gradients
+            with pytest.raises(InvalidInputError, match="consumed"):
+                ad.backward(loss, [x])
 
 
 class TestReplay:
@@ -597,15 +610,18 @@ def linear_inputs(rng, lead, dtype):
 
 def linear_tape(fn, x0, w0, b0):
     """Forward value, first-order gradients, a Hessian-vector product and the
-    tape of ``fn(x, w, b)`` under a loss with curvature in every input."""
+    tape's records before the HVP walk of ``fn(x, w, b)`` under a loss with
+    curvature in every input."""
     with ad.Tape() as tape:
         x, w, b = ad.leaf(x0), ad.leaf(w0), ad.leaf(b0)
         y = fn(x, w, b)
         loss = ad.reduce_sum(ad.mul(ad.sigmoid(y), y))
         gs = ad.backward(loss, [x, w, b], create_graph=True)
         dots = [ad.reduce_sum(ad.mul(g, ad.square(g))) for g in gs]
-        hvp = ad.backward(ad.add(ad.add(dots[0], dots[1]), dots[2]), [x, w, b])
-    return y.value, [g.value for g in gs + hvp], tape
+        s = ad.add(ad.add(dots[0], dots[1]), dots[2])
+        records = list(tape.records)  # the HVP walk consumes the tape
+        hvp = ad.backward(s, [x, w, b])
+    return y.value, [g.value for g in gs + hvp], records
 
 
 def composite_linear(x, w, b):
@@ -642,8 +658,8 @@ class TestLinear:
         # less the one forward record (matmul and add become linear), the
         # tape of a second-order backward holds the same calls in the same order
         x0, w0, b0 = linear_inputs(rng, (3,), np.float32)
-        records = linear_tape(ad.linear, x0, w0, b0)[2].records
-        records_ref = linear_tape(composite_linear, x0, w0, b0)[2].records
+        records = linear_tape(ad.linear, x0, w0, b0)[2]
+        records_ref = linear_tape(composite_linear, x0, w0, b0)[2]
         summary = lambda recs: [(r.name, r.out.shape) for r in recs]
         assert summary(records_ref[:2]) == [("matmul", (3, 5, 7)), ("add", (3, 5, 7))]
         assert summary(records[:1]) == [("linear", (3, 5, 7))]
@@ -680,7 +696,8 @@ class TestLinear:
 
     def test_replay_bitwise(self, rng):
         x0, w0, b0 = linear_inputs(rng, (2,), np.float32)
-        tape = linear_tape(ad.linear, x0, w0, b0)[2]
+        tape = ad.Tape()
+        tape.records = linear_tape(ad.linear, x0, w0, b0)[2]
         assert tape.records[0].name == "linear"
         tape.replay()
 

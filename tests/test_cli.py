@@ -370,7 +370,7 @@ def test_denoise_out_of_memory_in_helper_half_exits_6(work, phantom_dir, trained
 
     monkeypatch.setattr(network, "_mixer", helper_out_of_memory)
     threads = threading.active_count()
-    blas = halves.blas_get() if halves.blas_get else None
+    blas = halves.blas_get()
     out = work / "never_oom_helper.imts"
     code = main(["denoise", "--model", str(trained),
                  "--in", str(phantom_dir / "phantom_000.imts"), "--out", str(out)])
@@ -380,7 +380,7 @@ def test_denoise_out_of_memory_in_helper_half_exits_6(work, phantom_dir, trained
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
     assert threading.active_count() == threads
-    assert blas is None or halves.blas_get() == blas
+    assert halves.blas_get() == blas
 
 @pytest.mark.parametrize(
     "edit",

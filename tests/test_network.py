@@ -1,6 +1,8 @@
+import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -629,12 +631,10 @@ class TestHalves:
         params = self.perturbed(cfg, rng)
         z = complex_chunk(rng, 3, 16, 16)
         threads = threading.active_count()
-        blas = halves.blas_get() if halves.blas_get else None
+        blas = halves.blas_get()
 
         def settled():
-            return threading.active_count() == threads and (
-                blas is None or halves.blas_get() == blas
-            )
+            return threading.active_count() == threads and halves.blas_get() == blas
 
         forward(z, params, cfg)
         assert halves.started and settled()
@@ -649,6 +649,29 @@ class TestHalves:
         with pytest.raises(MemoryError, match="helper half"):
             forward(z, params, cfg)
         assert settled()
+
+    def test_concurrent_forwards_restore_the_blas_count(self, rng, halves):
+        # each forward holds OpenBLAS at one thread while its branches split;
+        # a hold that saved and restored the count on its own could read
+        # another's 1 and restore it last
+        cfg = tiny_cfg()
+        params = self.perturbed(cfg, rng)
+        z = complex_chunk(rng, 3, 16, 16)
+        prior = halves.blas_get()
+
+        def forwards():
+            return [forward(z, params, cfg).data for _ in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                runs = [pool.submit(forwards) for _ in range(3)]
+                outs = [out for run in runs for out in run.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert halves.blas_get() == prior == 2
+        assert all(np.array_equal(out, outs[0]) for out in outs)
 
     def test_serial_without_a_blas_setter(self, rng, halves, monkeypatch):
         cfg = tiny_cfg()
