@@ -4,7 +4,7 @@ Every primitive application with a differentiable input is recorded on the
 active Tape; ``backward`` walks the records in reverse and calls each
 primitive's registered VJP. VJPs are written in terms of taped primitives
 themselves, so gradients can be differentiated again (``create_graph=True``),
-which is how the optimizer's Hessian-vector products are produced.
+which is how ``gradients`` produces the optimizer's Hessian-vector products.
 
 One notion of constant: constants in, untaped constant out. A primitive whose
 inputs are all constants returns a constant and records nothing, since no
@@ -236,6 +236,40 @@ def backward(
     return result
 
 
+def gradients(build_loss, point: dict, names, rng=None):
+    """Loss, gradients and, given ``rng``, a Hutchinson diagonal-Hessian estimate.
+
+    Tapes ``build_loss({name: Variable})`` on a fresh tape, with the arrays
+    of ``point`` named in ``names`` lifted as leaves and the rest as
+    constants, and returns ``(loss, {name: gradient}, hess)``. A non-finite
+    loss raises NumericalFailureError before any backward pass.
+
+    ``hess`` is None without ``rng``. With it the first backward pass runs
+    with ``create_graph``, one Rademacher z is drawn per tensor in ``names``
+    order, and a second backward pass over sum(g * z) gives the
+    Hessian-vector product Hz; ``hess`` maps each name to z * Hz, whose
+    expectation is the Hessian's diagonal.
+    """
+    with Tape():
+        pv = {n: (leaf if n in names else constant)(v, name=n) for n, v in point.items()}
+        out = build_loss(pv)
+        if not np.all(np.isfinite(out.value)):
+            raise NumericalFailureError(f"non-finite loss {out.value}")
+        wrt = [pv[n] for n in names]
+        gs = backward(out, wrt, create_graph=rng is not None)
+        loss, grads = float(out.value), {n: g.value for n, g in zip(names, gs)}
+        if rng is None:
+            return loss, grads, None
+        zs, s = [], None
+        for v, g in zip(wrt, gs):
+            z = (rng.integers(0, 2, size=v.shape) * 2 - 1).astype(v.value.dtype)
+            zs.append(z)
+            term = reduce_sum(mul(g, constant(z)))
+            s = term if s is None else add(s, term)
+        hvs = backward(s, wrt)
+        return loss, grads, {n: z * hv.value for n, z, hv in zip(names, zs, hvs)}
+
+
 # ---------------------------------------------------------------------------
 # shape alignment helpers (taped, so they stay differentiable)
 
@@ -453,13 +487,12 @@ def _row_max(a):
     return m
 
 
-def _softmax_rows(a, out):
-    """Softmax over the last axis of ``a`` into ``out``, which may be ``a``:
-    subtract the row max, exp, divide by the row sum, all in place."""
-    np.subtract(a, _row_max(a), out=out)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=-1, keepdims=True)
-    return out
+def _softmax_rows(a):
+    """Softmax over the last axis of ``a``, in place: subtract the row max,
+    exp, divide by the row sum."""
+    np.subtract(a, _row_max(a), out=a)
+    np.exp(a, out=a)
+    a /= np.sum(a, axis=-1, keepdims=True)
 
 
 # Score elements per tile of the attention_probs forward: 2**18 float32 values
@@ -504,7 +537,7 @@ def _prob_tiles(q, k, scale, p=None):
             tile = buf[: len(qi)]
         np.matmul(qi, kt[idx], out=tile)
         tile *= scale
-        _softmax_rows(tile, tile)
+        _softmax_rows(tile)
         yield idx, tile
 
 
@@ -588,37 +621,32 @@ def _vjp_pad_zero2d(g, rec):
     return (out,)
 
 
-def _fwd_complex_split(z, ch_axis):
-    return np.stack([z.real, z.imag], axis=ch_axis), None
+def _fwd_complex_split(z):
+    return np.stack([z.real, z.imag], axis=-1), None
 
 
 def _vjp_complex_split(g, rec):
-    return (complex_join(g, ch_axis=rec.kwargs["ch_axis"]),)
+    return (complex_join(g),)
 
 
-def _fwd_complex_join(x, ch_axis):
-    re = np.take(x, 0, axis=ch_axis)
-    im = np.take(x, 1, axis=ch_axis)
-    return re + 1j * im, None
+def _fwd_complex_join(x):
+    return x[..., 0] + 1j * x[..., 1], None
 
 
 def _vjp_complex_join(g, rec):
-    return (complex_split(g, ch_axis=rec.kwargs["ch_axis"]),)
+    return (complex_split(g),)
 
 
-def _fwd_channel_magnitude(x, ch_axis):
-    return np.sqrt(np.sum(x * x, axis=ch_axis)), None
+def _fwd_channel_magnitude(x):
+    return np.sqrt(np.sum(x * x, axis=-1)), None
 
 
 def _vjp_channel_magnitude(g, rec):
     (x,) = rec.inputs
-    ch_axis = rec.kwargs["ch_axis"] % len(x.shape)
     tiny = float(np.finfo(np.asarray(rec.out.value).dtype).tiny)
     safe = maximum_const(rec.out, threshold=tiny)
     scale = div(g, safe)
-    kept = list(x.shape)
-    kept[ch_axis] = 1
-    return (mul(reshape(scale, tuple(kept)), x),)
+    return (mul(reshape(scale, x.shape[:-1] + (1,)), x),)
 
 
 def _fwd_batch_norm_train(x, gamma, beta, axes, eps):
@@ -840,16 +868,19 @@ def pad_zero2d(a, pads, axes=(-2, -1)):
     return _apply("pad_zero2d", a, pads=tuple(map(tuple, pads)), axes=tuple(axes))
 
 
-def complex_split(z, ch_axis=-1):
-    return _apply("complex_split", z, ch_axis=ch_axis)
+def complex_split(z):
+    """A complex (…) array as a real (…, 2) array of its real and imaginary parts."""
+    return _apply("complex_split", z)
 
 
-def complex_join(x, ch_axis=-1):
-    return _apply("complex_join", x, ch_axis=ch_axis)
+def complex_join(x):
+    """The inverse of complex_split."""
+    return _apply("complex_join", x)
 
 
-def channel_magnitude(x, ch_axis=-1):
-    return _apply("channel_magnitude", x, ch_axis=ch_axis)
+def channel_magnitude(x):
+    """|x| over the last axis of a real (…, 2) array."""
+    return _apply("channel_magnitude", x)
 
 
 def batch_norm_train(x, gamma, beta, axes, eps=1e-5):
@@ -932,7 +963,8 @@ def finite_difference_check(
     {"x": array}); ``f`` receives same-named Variables and returns a scalar
     Variable. Analytic gradients come from ``backward`` unless ``analytic``
     supplies them (the hook used by the negative-control test). Errors are
-    normalized by max(|gradient|, 1e-8).
+    normalized by max(|gradient|, 1e-8). Without ``analytic``, a non-finite
+    loss at ``point`` raises NumericalFailureError (through ``gradients``).
     """
     bare = not isinstance(point, dict)
     point = {"x": point} if bare else dict(point)
@@ -947,12 +979,7 @@ def finite_difference_check(
         return float(np.asarray(out.value))
 
     if analytic is None:
-        with Tape():
-            vars_ = {k: leaf(v, name=k) for k, v in point.items()}
-            out = f(vars_["x"] if bare else vars_)
-            names = list(point)
-            grads = backward(out, [vars_[k] for k in names])
-        analytic = {k: np.asarray(g.value) for k, g in zip(names, grads)}
+        _, analytic, _ = gradients(lambda pv: f(pv["x"] if bare else pv), point, list(point))
     elif bare and not isinstance(analytic, dict):
         analytic = {"x": np.asarray(analytic)}
 

@@ -139,17 +139,17 @@ class GFactorMap:
 class PowerNormState:
     """Scaling bookkeeping for one normalized stack.
 
-    Invariant: k_n == sqrt(target_power / source_power) to 1e-6 relative.
+    Invariant: k_n == sqrt(DEFAULT_TARGET_POWER / source_power) to 1e-6
+    relative.
     """
 
     k_n: float
     source_power: float
-    target_power: float = DEFAULT_TARGET_POWER
 
     def __post_init__(self):
         if self.source_power <= 0 or not math.isfinite(self.source_power):
             raise InvalidStateError(f"source power must be positive, got {self.source_power}")
-        expected = math.sqrt(self.target_power / self.source_power)
+        expected = math.sqrt(DEFAULT_TARGET_POWER / self.source_power)
         if abs(self.k_n - expected) > 1e-6 * expected:
             raise InvalidStateError(
                 f"inconsistent PowerNormState: k_n={self.k_n}, expected {expected}"
@@ -164,23 +164,19 @@ def mean_signal_power(stack: ComplexImageStack) -> float:
     return float(np.sum(comps * comps) / stack.voxels)
 
 
-def power_normalize(
-    stack: ComplexImageStack, target_power: float = DEFAULT_TARGET_POWER
-) -> tuple[ComplexImageStack, PowerNormState]:
-    """Scale a stack so its mean signal power equals ``target_power``.
+def power_normalize(stack: ComplexImageStack) -> tuple[ComplexImageStack, PowerNormState]:
+    """Scale a stack so its mean signal power equals DEFAULT_TARGET_POWER.
 
     Returns the scaled stack and the state needed to undo the scaling.
     Raises DegenerateInputError for an all-zero stack (the factor is
     undefined there).
     """
-    if target_power <= 0:
-        raise InvalidInputError(f"target power must be positive, got {target_power}")
     p_n = mean_signal_power(stack)
     if p_n == 0.0:
         raise DegenerateInputError("all-zero stack: power normalization undefined")
-    k_n = math.sqrt(target_power / p_n)
+    k_n = math.sqrt(DEFAULT_TARGET_POWER / p_n)
     scaled = ComplexImageStack(stack.data * np.float32(k_n))
-    return scaled, PowerNormState(k_n=k_n, source_power=p_n, target_power=target_power)
+    return scaled, PowerNormState(k_n=k_n, source_power=p_n)
 
 
 def power_denormalize(stack: ComplexImageStack, state: PowerNormState) -> ComplexImageStack:

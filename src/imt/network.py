@@ -451,7 +451,7 @@ def _embed(z, pv, cfg):
         raise InvalidInputError("dimension overflow after padding")
     if ph or pw:
         z = ad.reflect_pad2d(z, ((0, ph), (0, pw)), axes=(2, 3))
-    x = _patchify(ad.complex_split(z, ch_axis=-1), cfg.patch)
+    x = _patchify(ad.complex_split(z), cfg.patch)
     x = ad.linear(x, pv["embed.weight"], pv["embed.bias"])
     _, _, hg, wg, c = x.shape
     wdw = cfg.window
@@ -480,7 +480,7 @@ def forward_graph(
     """
     _, _, h, w = z.shape
     x = _embed(z, pv, cfg)
-    x2 = ad.complex_split(z, ch_axis=-1)
+    x2 = ad.complex_split(z)
     hg, wg = x.shape[2], x.shape[3]
 
     x = _block(x, pv, cfg, train, stats, probe, "stage1")
@@ -499,7 +499,7 @@ def forward_graph(
     if out2.shape[2] != h or out2.shape[3] != w:
         out2 = ad.crop2d(out2, 0, 0, h, w, axes=(2, 3))
     pred2 = ad.add(x2, out2)
-    output = ad.complex_join(pred2, ch_axis=-1)
+    output = ad.complex_join(pred2)
     return {"output": output, "pred2": pred2}
 
 

@@ -142,21 +142,19 @@ def synth_noise(
 
 
 def make_training_pair(
-    clean: ComplexImageStack,
-    spec: NoiseSpec,
-    gmap: GFactorMap,
-    target_power: float = DEFAULT_TARGET_POWER,
+    clean: ComplexImageStack, spec: NoiseSpec, gmap: GFactorMap
 ) -> tuple[ComplexImageStack, ComplexImageStack]:
     """Build a (noisy, clean) pair with noise drawn at the normalized scale.
 
-    The clean stack is scaled to mean power ``target_power`` by k_n, noise at
-    level sigma is added there, and the sum is brought back by 1/k_n; i.e.
-    noisy = clean + noise / k_n. The clean stack is returned unchanged.
+    The clean stack is scaled to mean power DEFAULT_TARGET_POWER by k_n,
+    noise at level sigma is added there, and the sum is brought back by
+    1/k_n; i.e. noisy = clean + noise / k_n. The clean stack is returned
+    unchanged.
     """
     p_n = mean_signal_power(clean)
     if p_n == 0.0:
         raise DegenerateInputError("zero-power clean stack: pairing undefined")
-    k_n = math.sqrt(target_power / p_n)
+    k_n = math.sqrt(DEFAULT_TARGET_POWER / p_n)
     noise = synth_noise(clean.slices, clean.height, clean.width, spec, gmap)
     noisy = clean.data + noise.data * np.float32(1.0 / k_n)
     return ComplexImageStack(noisy), clean

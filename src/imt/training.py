@@ -3,8 +3,7 @@
 The loss surface follows the combined objective: a Charbonnier penalty on the
 complex residual plus a perceptual term computed on magnitude images by a
 fixed feature extractor. Optimization is Sophia with a Hutchinson diagonal
-Hessian estimate refreshed on a fixed cadence; both backward passes run on
-one tape per step.
+Hessian estimate (``ad.gradients``) refreshed on a fixed cadence.
 
 Each loss term has one body, a graph function on two-channel Variables that
 computes in its input's dtype: the training loop differentiates it in float32,
@@ -40,7 +39,6 @@ from .network import (
     forward,
     forward_graph,
     init_params,
-    lift_params,
     save_checkpoint,
     update_running_stats,
 )
@@ -262,7 +260,7 @@ def _perceptual_graph(
 ) -> ad.Variable:
     if len(pred2.shape) < 3:
         raise InvalidInputError(f"need at least 2 spatial dims, got shape {pred2.shape[:-1]}")
-    mag = ad.channel_magnitude(pred2, ch_axis=-1)
+    mag = ad.channel_magnitude(pred2)
     n = int(np.prod(mag.shape[:-2]))
     mag = ad.reshape(mag, (n, mag.shape[-2], mag.shape[-1], 1))
     t = np.sqrt(np.sum(np.square(target2, dtype=np.float64), axis=-1))
@@ -375,83 +373,39 @@ def sophia_step(
     return ParameterSet(new, params.init_seed)
 
 
-def _hutchinson(gs: list[ad.Variable], wrt: list[ad.Variable], rng) -> list[np.ndarray]:
-    """z * (H z) per tensor of ``wrt``, one Rademacher draw z in ``wrt`` order.
-
-    ``gs`` are the gradients of ``wrt`` from a backward pass run with
-    create_graph=True on the still-open tape; the second backward pass
-    differentiates sum(g * z) into the Hessian-vector product.
-    """
-    zs, s = [], None
-    for v, g in zip(wrt, gs):
-        z = (rng.integers(0, 2, size=v.shape) * 2 - 1).astype(v.value.dtype)
-        zs.append(z)
-        term = ad.reduce_sum(ad.mul(g, ad.constant(z)))
-        s = term if s is None else ad.add(s, term)
-    hvs = ad.backward(s, wrt)
-    return [z * hv.value for z, hv in zip(zs, hvs)]
-
-
-def hessian_diag_estimate(build_loss, point: dict[str, np.ndarray], rng) -> dict[str, np.ndarray]:
-    """Hutchinson diagonal-Hessian estimate z * H z with Rademacher z.
-
-    ``build_loss`` maps {name: Variable} to a scalar loss Variable; the
-    gradient graph is re-recorded so a second backward pass yields the
-    Hessian-vector product. One draw per call; deterministic given ``rng``.
-    """
-    with ad.Tape():
-        pv = {n: ad.leaf(np.asarray(v), name=n) for n, v in point.items()}
-        wrt = list(pv.values())
-        gs = ad.backward(build_loss(pv), wrt, create_graph=True)
-        return dict(zip(pv, _hutchinson(gs, wrt, rng)))
-
-
 # ---------------------------------------------------------------------------
 # augmentation
 
 
-def augment(pair, rng, *, flips=True, intensity=True, resize=True):
+def augment(pair, rng, ratio):
     """Apply one random transform draw identically to a (noisy, clean) pair.
 
     Draw order: horizontal flip, vertical flip, intensity factor u ~ U[0.3, 3]
-    (complex scalar multiply), k-space resize ratio ~ U[0.5, 1.5]. Disabled
-    transforms consume no draws. A resize that would underflow the minimum
-    matrix size is skipped for that pair and logged.
+    (complex scalar multiply). Then both halves are k-space resized by the
+    caller's ``ratio``; a resize that would underflow the minimum matrix size
+    is skipped for that pair and logged.
     """
     noisy, clean = pair
     if noisy.shape != clean.shape:
         raise InvalidInputError(f"pair shapes differ: {noisy.shape} vs {clean.shape}")
     n, c = noisy.data, clean.data
-    if flips:
-        if rng.random() < 0.5:
-            n, c = n[:, :, ::-1], c[:, :, ::-1]
-        if rng.random() < 0.5:
-            n, c = n[:, ::-1, :], c[:, ::-1, :]
-    if intensity:
-        u = np.float32(0.3 + rng.random() * 2.7)
-        n, c = n * u, c * u
-    out = (
-        ComplexImageStack(np.ascontiguousarray(n)),
-        ComplexImageStack(np.ascontiguousarray(c)),
-    )
-    if resize:
-        out = _resize_pair(out, 0.5 + rng.random())
-    return out
-
-
-def _resize_pair(pair, ratio):
-    """k-space resize both halves of a pair; a resize that would underflow
-    the minimum matrix size leaves the pair as it is and is logged."""
+    if rng.random() < 0.5:
+        n, c = n[:, :, ::-1], c[:, :, ::-1]
+    if rng.random() < 0.5:
+        n, c = n[:, ::-1, :], c[:, ::-1, :]
+    u = np.float32(0.3 + rng.random() * 2.7)
+    noisy = ComplexImageStack(np.ascontiguousarray(n * u))
+    clean = ComplexImageStack(np.ascontiguousarray(c * u))
     try:
-        return kspace_resize(pair[0], ratio), kspace_resize(pair[1], ratio)
+        return kspace_resize(noisy, ratio), kspace_resize(clean, ratio)
     except InvalidInputError:
         log.warning(
             "resize ratio %.3f underflows %dx%d, skipping resize",
             ratio,
-            pair[0].height,
-            pair[0].width,
+            noisy.height,
+            noisy.width,
         )
-        return pair
+        return noisy, clean
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +440,14 @@ def _materialize(dataset):
     return out
 
 
-def _sample_pair(rng, example, t_depth, patch, sigma_range, augmenting, ratio):
-    """Crop, noise, normalize, and optionally augment one training sample.
+def _sample_pair(rng, example, t_depth, patch, sigma_range, ratio):
+    """Crop, noise, normalize, and, given a resize ratio, augment one
+    training sample.
 
     Normalization scales both halves by the clean patch's power_normalize
     factor k_n, so the noise component sits at exactly sigma in network
     units. The resize ratio is drawn once per step by the caller (batch
-    samples must stay stackable).
+    samples must stay stackable), and is None when augmentation is off.
     """
     stack, gvals = example
     s0 = int(rng.integers(stack.slices - t_depth + 1))
@@ -507,10 +462,8 @@ def _sample_pair(rng, example, t_depth, patch, sigma_range, augmenting, ratio):
     noisy, clean = make_training_pair(clean, NoiseSpec(sigma=sigma, seed=seed), gpatch)
     clean, norm = power_normalize(clean)
     pair = (ComplexImageStack(noisy.data * np.float32(norm.k_n)), clean)
-    if augmenting:
-        pair = augment(pair, rng, resize=False)
-        if ratio is not None:
-            pair = _resize_pair(pair, ratio)
+    if ratio is not None:
+        pair = augment(pair, rng, ratio)
     return pair
 
 
@@ -522,9 +475,7 @@ def _val_loss(params, examples, mcfg, tcfg, lcfg, fe) -> float:
         example = examples[k % len(examples)]
         t_depth = min(mcfg.slice_depth, example[0].slices)
         patch = min(min(tcfg.patch_sizes), example[0].height, example[0].width)
-        noisy, clean = _sample_pair(
-            rng, example, t_depth, patch, tcfg.sigma_range, False, None
-        )
+        noisy, clean = _sample_pair(rng, example, t_depth, patch, tcfg.sigma_range, None)
         pred = forward(noisy, params, mcfg, mode="eval")
         total += combined_loss(pred, clean, lcfg, fe)
     return total / tcfg.val_samples
@@ -622,10 +573,7 @@ def train(
                     ps = min(ps, *(min(ex[0].height, ex[0].width) for ex in picks))
                     ratio = 0.5 + float(rng.random()) if train_cfg.augment else None
                     pairs = [
-                        _sample_pair(
-                            rng, ex, t_depth, ps, train_cfg.sigma_range,
-                            train_cfg.augment, ratio,
-                        )
+                        _sample_pair(rng, ex, t_depth, ps, train_cfg.sigma_range, ratio)
                         for ex in picks
                     ]
                     z = np.stack([p[0].data for p in pairs])
@@ -634,24 +582,17 @@ def train(
                     ).value
 
                     stats: dict = {}
-                    refresh = state.t % train_cfg.hessian_update_every == 0
-                    with ad.Tape():
-                        pv = lift_params(params, trainable=True)
+
+                    def build_loss(pv):
                         outd = forward_graph(
                             ad.constant(z), pv, model_cfg, train=True, stats=stats
                         )
-                        loss_v = _combined_graph(outd["pred2"], target2, loss_cfg, fe)
-                        train_loss = float(loss_v.value)
-                        if not math.isfinite(train_loss):
-                            raise NumericalFailureError(
-                                f"training loss {train_loss} at step {step}"
-                            )
-                        wrt = [pv[n] for n in trainable]
-                        gvars = ad.backward(loss_v, wrt, create_graph=refresh)
-                        grads = {n: g.value for n, g in zip(trainable, gvars)}
-                        hess = None
-                        if refresh:
-                            hess = dict(zip(trainable, _hutchinson(gvars, wrt, rng)))
+                        return _combined_graph(outd["pred2"], target2, loss_cfg, fe)
+
+                    refresh = state.t % train_cfg.hessian_update_every == 0
+                    train_loss, grads, hess = ad.gradients(
+                        build_loss, params.tensors, trainable, rng if refresh else None
+                    )
                     params = sophia_step(params, grads, hess, state, train_cfg)
                     update_running_stats(params, stats, model_cfg.bn_momentum)
                     wall = int(round((time.perf_counter() - t0) * 1000))

@@ -178,6 +178,46 @@ def test_train_outputs(trained, capsys):
     assert "val_loss" in extra
 
 
+def _train_with(work, phantom_dir, run_config, name, **sections):
+    """Train with ``run_config``'s sections replaced by ``sections``; returns
+    the exit code and the output directory."""
+    doc = {**json.loads(run_config.read_text()), **sections}
+    cfg = work / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    out = work / name
+    return main(["train", "--config", str(cfg), "--data", str(phantom_dir),
+                 "--out", str(out)]), out
+
+
+def test_train_gmap_dir_of_ones_equals_uniform_noise(work, phantom_dir, run_config):
+    gdir = work / "gmaps_ones"
+    gdir.mkdir()
+    for path in phantom_dir.glob("*.imts"):
+        save_gmap(GFactorMap(np.ones((24, 24), np.float32)), gdir / path.name)
+    runs = [
+        _train_with(work, phantom_dir, run_config, "t_gmap_dir", data={"gmap_dir": str(gdir)}),
+        _train_with(work, phantom_dir, run_config, "t_uniform", noise={"kind": "uniform"}),
+    ]
+    assert [code for code, _ in runs] == [0, 0]
+    logs = [
+        [row.rsplit(",", 1)[0] for row in (out / "train_log.csv").read_text().splitlines()]
+        for _, out in runs
+    ]
+    assert logs[0] == logs[1]
+    assert (runs[0][1] / "best.ckpt").read_bytes() == (runs[1][1] / "best.ckpt").read_bytes()
+
+
+def test_train_gmap_dir_missing_map_exits_2(work, phantom_dir, run_config, capsys):
+    # each stack needs its same-named map; the noise section is no fallback
+    gdir = work / "gmaps_empty"
+    gdir.mkdir()
+    code, out = _train_with(work, phantom_dir, run_config, "t_no_map",
+                            data={"gmap_dir": str(gdir)})
+    assert code == 2
+    assert "phantom_000.imts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_without_data_dir(work, run_config):
     code = main(["train", "--config", str(run_config), "--out", str(work / "t2")])
     assert code == 2

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private
+function or class it defines."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,30 @@ def test_checker_flags_a_name_read_only_in_a_string():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_privates(sources: list[str]) -> list[str]:
+    """Module-level private functions and classes of ``sources`` that no
+    statement names outside their own definition."""
+    defined, named = [], set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.append(node.name)
+                names.discard(node.name)
+            named |= names
+    return [name for name in defined if name not in named]
+
+
+def test_dead_code_checker_flags_a_self_call_and_a_string():
+    sources = [
+        "def _used():\n    return _Kept\ndef _orphan():\n    return _orphan()\n",
+        "class _Kept:\n    pass\ndef _named():\n    pass\nx = m._used() or '_named'\n",
+    ]
+    assert unreferenced_privates(sources) == ["_orphan", "_named"]
+
+
+def test_package_has_no_unreferenced_private_definitions():
+    assert unreferenced_privates([p.read_text() for p in MODULES]) == []

@@ -1,6 +1,5 @@
 """Losses, optimizer, augmentation, and training-loop behavior."""
 
-import functools
 import hashlib
 import logging
 import math
@@ -435,7 +434,7 @@ def test_hessian_estimate_quadratic_diagonal():
 
     point = {"p": np.array([0.5, -1.0, 2.0], np.float32)}
     rng = np.random.default_rng(0)
-    draws = np.stack([tr.hessian_diag_estimate(loss, point, rng)["p"] for _ in range(100)])
+    draws = np.stack([ad.gradients(loss, point, ["p"], rng)[2]["p"] for _ in range(100)])
     mean = draws.mean(axis=0)
     # diagonal Hessian: every draw is exact, so 15% is generous
     assert np.allclose(mean, 2 * h, rtol=0.15)
@@ -449,7 +448,7 @@ def test_hessian_estimate_linear_is_zero():
         return ad.reduce_sum(ad.mul(ad.constant(c), pv["p"]))
 
     rng = np.random.default_rng(1)
-    est = tr.hessian_diag_estimate(loss, {"p": np.ones(3, np.float32)}, rng)
+    _, _, est = ad.gradients(loss, {"p": np.ones(3, np.float32)}, ["p"], rng)
     # gradient is constant in p, so the second pass returns exact zeros
     assert np.max(np.abs(est["p"])) == 0.0
 
@@ -467,7 +466,7 @@ def test_hessian_estimate_full_matrix_statistics():
 
     point = {"p": rng0.standard_normal(4).astype(np.float32)}
     rng = np.random.default_rng(2)
-    draws = np.stack([tr.hessian_diag_estimate(loss, point, rng)["p"] for _ in range(300)])
+    draws = np.stack([ad.gradients(loss, point, ["p"], rng)[2]["p"] for _ in range(300)])
     diag = np.diag(a)
     err = np.abs(draws.mean(axis=0) - diag) / np.maximum(np.abs(diag), 1e-3)
     assert np.max(err) < 0.15
@@ -480,8 +479,8 @@ def test_hessian_estimate_deterministic_given_seed():
         return ad.reduce_sum(ad.mul(ad.constant(h), ad.square(pv["p"])))
 
     point = {"p": np.array([1.0, 2.0], np.float32)}
-    e1 = tr.hessian_diag_estimate(loss, point, np.random.default_rng(9))["p"]
-    e2 = tr.hessian_diag_estimate(loss, point, np.random.default_rng(9))["p"]
+    e1 = ad.gradients(loss, point, ["p"], np.random.default_rng(9))[2]["p"]
+    e2 = ad.gradients(loss, point, ["p"], np.random.default_rng(9))[2]["p"]
     assert np.array_equal(e1, e2)
 
 
@@ -523,12 +522,9 @@ def _second_order_problem(dtype, seed=17):
 def _second_order_step(dtype, seed=17):
     """Gradients and one Hutchinson product of the full loss, in ``dtype``."""
     params, loss = _second_order_problem(dtype, seed)
-    with ad.Tape():
-        pv = lift_params(params, trainable=True)
-        wrt = [pv[n] for n in params.trainable_names()]
-        gs = ad.backward(loss(pv), wrt, create_graph=True)
-        hvp = tr._hutchinson(gs, wrt, np.random.default_rng(5))
-    return [g.value for g in gs], hvp
+    names = params.trainable_names()
+    _, grads, hess = ad.gradients(loss, params.tensors, names, np.random.default_rng(5))
+    return [grads[n] for n in names], [hess[n] for n in names]
 
 
 def test_second_order_step_golden_sha256():
@@ -615,35 +611,30 @@ def test_plain_step_peaks_at_its_forward_tape(rng):
 
 
 def test_second_order_step_hvp_matches_central_differences():
-    # the create_graph Hessian-vector product against central differences of
-    # the gradient, in float64 along fixed Gaussian directions. At h = 1e-5
-    # the relative l2 error measured 9.6e-8 to 4.0e-7 here (1.0e-5 at worst
-    # over other directions), 100 times that at h = 1e-4, so it is
-    # truncation-limited; a sigmoid VJP scaled by 1.001 gives 1.9e-4
+    # the estimate train runs, z * Hz, times its own Rademacher z (z * z = 1,
+    # so that is Hz) against central differences of the gradient along z, in
+    # float64. At h = 1e-5 the relative l2 error measured 1.0e-7 to 5.1e-7
+    # over these four draws, 100 times that at h = 1e-4, so it is
+    # truncation-limited; a sigmoid VJP scaled by 1.001 gives 1.5e-4 to
+    # 2.1e-4, over the bound in 4 of 4 draws
     params, loss = _second_order_problem(np.float64)
     names = params.trainable_names()
-
-    def grads(tensors, direction=None):
-        # the gradient at ``tensors``, or with a direction its derivative along it
-        with ad.Tape():
-            pv = lift_params(ParameterSet(tensors, 0), trainable=True)
-            wrt = [pv[n] for n in names]
-            gs = ad.backward(loss(pv), wrt, create_graph=direction is not None)
-            if direction is not None:
-                dots = [ad.reduce_sum(ad.mul(g, ad.constant(direction[n]))) for g, n in zip(gs, names)]
-                gs = ad.backward(functools.reduce(ad.add, dots), wrt)
-        return np.concatenate([np.ravel(g.value) for g in gs])
-
+    flat = lambda arrays: np.concatenate([np.ravel(arrays[n]) for n in names])
     h = 1e-5
-    rng = np.random.default_rng(29)
-    for _ in range(4):
-        d = {n: rng.standard_normal(params.tensors[n].shape) for n in names}
-        hvp = grads(params.tensors, d)
+    for seed in range(29, 33):
+        _, _, hess = ad.gradients(loss, params.tensors, names, np.random.default_rng(seed))
+        # z re-drawn as ad.gradients draws it (one Rademacher tensor per name,
+        # in name order): the one place coupled to its draw, so a change to
+        # how or in what order gradients draws z changes this line with it
+        draw = np.random.default_rng(seed)
+        z = {n: draw.integers(0, 2, size=params.tensors[n].shape) * 2.0 - 1.0 for n in names}
+        hvp = flat({n: z[n] * hess[n] for n in names})
         shifted = [
-            {n: t + sign * h * d[n] if n in d else t for n, t in params.tensors.items()}
+            {n: t + sign * h * z[n] if n in z else t for n, t in params.tensors.items()}
             for sign in (1, -1)
         ]
-        fd = (grads(shifted[0]) - grads(shifted[1])) / (2 * h)
+        grads = [ad.gradients(loss, point, names)[1] for point in shifted]
+        fd = (flat(grads[0]) - flat(grads[1])) / (2 * h)
         assert np.linalg.norm(hvp - fd) < 1e-4 * np.linalg.norm(fd)
 
 
@@ -654,8 +645,8 @@ def test_second_order_step_hvp_matches_central_differences():
 def test_augment_identity_draws_leave_pair_unchanged(rng):
     a, b = random_pair(rng, shape=(2, 8, 8))
     noisy, clean = ComplexImageStack(a), ComplexImageStack(b)
-    stub = DrawStub([0.9, 0.9, IDENTITY_INTENSITY, 0.5])
-    out_n, out_c = tr.augment((noisy, clean), stub)
+    stub = DrawStub([0.9, 0.9, IDENTITY_INTENSITY])
+    out_n, out_c = tr.augment((noisy, clean), stub, ratio=1.0)
     assert np.array_equal(out_n.data, a)
     assert np.array_equal(out_c.data, b)
 
@@ -663,9 +654,9 @@ def test_augment_identity_draws_leave_pair_unchanged(rng):
 def test_augment_double_horizontal_flip_is_identity(rng):
     a, b = random_pair(rng, shape=(2, 8, 8))
     pair = (ComplexImageStack(a), ComplexImageStack(b))
-    flip_only = [0.1, 0.9]  # hflip yes, vflip no
-    once = tr.augment(pair, DrawStub(flip_only), intensity=False, resize=False)
-    twice = tr.augment(once, DrawStub(flip_only), intensity=False, resize=False)
+    flip_only = [0.1, 0.9, IDENTITY_INTENSITY]  # hflip yes, vflip no
+    once = tr.augment(pair, DrawStub(flip_only), ratio=1.0)
+    twice = tr.augment(once, DrawStub(flip_only), ratio=1.0)
     assert np.array_equal(twice[0].data, a)
     assert np.array_equal(twice[1].data, b)
 
@@ -674,7 +665,7 @@ def test_augment_intensity_two_scales_power_by_four(rng):
     a, b = random_pair(rng, shape=(2, 8, 8))
     pair = (ComplexImageStack(a), ComplexImageStack(b))
     u_two = (2.0 - 0.3) / 2.7
-    out = tr.augment(pair, DrawStub([u_two]), flips=False, resize=False)
+    out = tr.augment(pair, DrawStub([0.9, 0.9, u_two]), ratio=1.0)
     assert mean_signal_power(out[0]) == 4 * mean_signal_power(pair[0])
     assert mean_signal_power(out[1]) == 4 * mean_signal_power(pair[1])
 
@@ -683,7 +674,7 @@ def test_augment_preserves_residual(rng):
     a, b = random_pair(rng, shape=(3, 10, 10))
     pair = (ComplexImageStack(a), ComplexImageStack(b))
     draws = [0.2, 0.3, 0.8]
-    out_n, out_c = tr.augment(pair, DrawStub(list(draws)), resize=False)
+    out_n, out_c = tr.augment(pair, DrawStub(list(draws)), ratio=1.0)
     u = np.float32(0.3 + 0.8 * 2.7)
     residual = (a - b)[:, ::-1, ::-1] * u
     assert np.max(np.abs((out_n.data - out_c.data) - residual)) < 1e-6 * np.max(np.abs(residual))
@@ -692,8 +683,8 @@ def test_augment_preserves_residual(rng):
 def test_augment_resize_changes_dims(rng):
     a, b = random_pair(rng, shape=(2, 16, 16))
     pair = (ComplexImageStack(a), ComplexImageStack(b))
-    out = tr.augment(pair, DrawStub([0.75]), flips=False, intensity=False)
-    # ratio 1.25 -> 20x20
+    out = tr.augment(pair, DrawStub([0.9, 0.9, IDENTITY_INTENSITY]), ratio=1.25)
+    # 16 * 1.25 -> 20x20
     assert out[0].shape == (2, 20, 20)
     assert out[1].shape == (2, 20, 20)
 
@@ -702,7 +693,7 @@ def test_augment_resize_underflow_skips_and_logs(rng, caplog):
     a, b = random_pair(rng, shape=(2, 6, 6))
     pair = (ComplexImageStack(a), ComplexImageStack(b))
     with caplog.at_level(logging.WARNING, logger="imt.training"):
-        out = tr.augment(pair, DrawStub([0.0]), flips=False, intensity=False)
+        out = tr.augment(pair, DrawStub([0.9, 0.9, IDENTITY_INTENSITY]), ratio=0.5)
     assert out[0].shape == (2, 6, 6)
     assert any("skip" in rec.message for rec in caplog.records)
 
@@ -711,7 +702,7 @@ def test_augment_shape_mismatch(rng):
     a, _ = random_pair(rng, shape=(2, 8, 8))
     b, _ = random_pair(rng, shape=(2, 8, 9))
     with pytest.raises(InvalidInputError):
-        tr.augment((ComplexImageStack(a), ComplexImageStack(b)), DrawStub([]))
+        tr.augment((ComplexImageStack(a), ComplexImageStack(b)), DrawStub([]), ratio=1.0)
 
 
 # ---------------------------------------------------------------------------
