@@ -487,6 +487,21 @@ def _row_max(a):
     return m
 
 
+def _halving_sum(a):
+    """Sum over axis -2, keepdims, in place on ``a``: the halves of the axis
+    add pairwise until one row is left, so each sum rounds about log2(rows)
+    times, where np.sum's sequential add over a strided axis rounds once per
+    row."""
+    while a.shape[-2] > 1:
+        n = a.shape[-2]
+        h = n // 2
+        np.add(a[..., :h, :], a[..., h : 2 * h, :], out=a[..., :h, :])
+        if n % 2:
+            np.add(a[..., :1, :], a[..., 2 * h :, :], out=a[..., :1, :])
+        a = a[..., :h, :]
+    return a
+
+
 def _softmax_rows(a):
     """Softmax over the last axis of ``a``, in place: subtract the row max,
     exp, divide by the row sum."""
@@ -516,37 +531,19 @@ def _tiles(lead, count):
             yield outer + (slice(i, i + step),)
 
 
-def _prob_tiles(q, k, scale, p=None):
-    """Yield ``(idx, tile)`` per leading-axis tile, where ``tile`` holds
-    softmax(q[idx] @ k[idx]ᵀ * scale): a view of ``p`` if one is given, else
-    of one buffer that every tile reuses. The tiles are views, so each matrix
-    product is the one a whole-batch matmul makes."""
+def _fwd_attention_probs(q, k, scale):
+    # P is the one score-sized allocation; each tile runs the matmul into a
+    # view of it, then the scale and the softmax in place. The tiles are
+    # views, so each matrix product is the one a whole-batch matmul makes
     kt = np.swapaxes(k, -1, -2)
     n, m = q.shape[-2], kt.shape[-1]
-    dtype = np.result_type(q, kt)
-    scale = np.asarray(scale, dtype=dtype)
-    buf = None
+    p = np.empty(q.shape[:-1] + (m,), dtype=np.result_type(q, kt))
+    scale = np.asarray(scale, dtype=p.dtype)
     for idx in _tiles(q.shape[:-2], _SCORE_TILE // max(n * m, 1)):
-        qi = q[idx]
-        if p is not None:
-            tile = p[idx]
-        else:
-            if buf is None:
-                buf = np.empty(qi.shape[:-1] + (m,), dtype=dtype)
-            # only the last tile can be shorter, along its first axis
-            tile = buf[: len(qi)]
-        np.matmul(qi, kt[idx], out=tile)
+        tile = p[idx]
+        np.matmul(q[idx], kt[idx], out=tile)
         tile *= scale
         _softmax_rows(tile)
-        yield idx, tile
-
-
-def _fwd_attention_probs(q, k, scale):
-    # P is the one score-sized allocation; each tile runs the matmul into it,
-    # then the scale and the softmax in place
-    p = np.empty(q.shape[:-1] + k.shape[-2:-1], dtype=np.result_type(q, k))
-    for _ in _prob_tiles(q, k, scale, p):
-        pass
     return p, None
 
 
@@ -834,19 +831,38 @@ def attention(q, k, v, scale):
     and (..., M, e) values with one leading shape.
 
     Taped, it is ``matmul(attention_probs(q, k, scale), v)``. Untaped (all
-    three constants) it multiplies each tile of probabilities by its values
-    as the tile is made, so no more than one tile of the probabilities exists
-    at a time; the tiles are views, so the output has the same bits.
+    three constants) it works on key-major tiles of transposed scores, so no
+    more than one tile of them exists at a time: each tile holds
+    ``k @ (q * scale)ᵀ``, takes its max over the keys, an exp in place, the
+    product with the values, and a pairwise sum over the keys that divides
+    the output. That moves the last bits, within a tolerance the tests state.
     """
     if not (q.stop and k.stop and v.stop):
         return matmul(attention_probs(q, k, scale), v)
     _check_qk(q, k)
-    qv, vv = q.value, v.value
-    if vv.ndim != qv.ndim or vv.shape[:-1] != k.shape[:-1]:
+    qv, kv, vv = q.value, k.value, v.value
+    if vv.ndim != qv.ndim or vv.shape[:-1] != kv.shape[:-1]:
         raise InvalidInputError(f"attention needs (..., M, e) values, got {vv.shape}")
-    out = np.empty(qv.shape[:-1] + vv.shape[-1:], dtype=np.result_type(qv, k.value, vv))
-    for idx, tile in _prob_tiles(qv, k.value, float(scale)):
-        np.matmul(tile, vv[idx], out=out[idx])
+    n, m = qv.shape[-2], kv.shape[-2]
+    dtype = np.result_type(qv, kv)
+    scale = np.asarray(float(scale), dtype=dtype)
+    out = np.empty(qv.shape[:-1] + vv.shape[-1:], dtype=np.result_type(dtype, vv))
+    qbuf = sbuf = None
+    for idx in _tiles(qv.shape[:-2], _SCORE_TILE // max(n * m, 1)):
+        qt = np.swapaxes(qv[idx], -1, -2)
+        if sbuf is None:
+            qbuf = np.empty(qt.shape, dtype=dtype)
+            sbuf = np.empty(qt.shape[:-2] + (m, n), dtype=dtype)
+        # only the last tile can be shorter, along its first leading axis; a
+        # 2-D call has none and is one tile
+        cut = slice(len(qt)) if qt.ndim > 2 else ...
+        st = sbuf[cut]
+        np.matmul(kv[idx], np.multiply(qt, scale, out=qbuf[cut]), out=st)
+        np.subtract(st, np.max(st, axis=-2, keepdims=True), out=st)
+        np.exp(st, out=st)
+        o = out[idx]
+        np.matmul(np.swapaxes(st, -1, -2), vv[idx], out=o)
+        o /= np.swapaxes(_halving_sum(st), -1, -2)
     return constant(out)
 
 

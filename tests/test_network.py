@@ -25,7 +25,6 @@ from imt.network import (
     _GLOBAL,
     _LOCAL,
     _blocks,
-    _cell,
     _unblocks,
     embed,
     forward,
@@ -50,6 +49,14 @@ def complex_chunk(rng, t, h, w, scale=30.0):
     return (
         (rng.normal(size=(t, h, w)) + 1j * rng.normal(size=(t, h, w))) * scale
     ).astype(np.complex64)
+
+
+def perturbed(cfg, rng, dtype=np.float32):
+    params = init_params(cfg, 2)
+    for name in params.trainable_names():
+        t = params.tensors[name]
+        t += rng.normal(0.0, 0.05, t.shape).astype(np.float32)
+    return params.astype(dtype)
 
 
 def identity_attn(c):
@@ -559,6 +566,36 @@ class TestForward:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
+    @pytest.mark.parametrize(
+        "cfg, shape",
+        [(tiny_cfg(), (2, 16, 16)), (ModelConfig(), (2, 32, 32))],
+        ids=["tiny", "default"],
+    )
+    def test_untaped_error_tracks_the_taped_forward(self, rng, cfg, shape):
+        """The untaped attention moves the last bits: over 12 forwards, the
+        float32 output's RMS error against a float64 forward of the same
+        weights and input, untaped over taped, has a median of at most 1.25
+        and a max of at most 1.6. Measured here: median 1.09 (max 1.24) at the
+        tiny config, 1.07 (1.37) at ModelConfig(); 0.98-1.05 (1.08-1.37) on
+        four other seeds."""
+        ratios = []
+        for _ in range(12):
+            params = perturbed(cfg, rng)
+            z = complex_chunk(rng, *shape, scale=1.0)
+            ref = forward_graph(
+                ad.constant(z.astype(np.complex128)[None]),
+                lift_params(params.astype(np.float64)),
+                cfg,
+                False,
+            )["output"].value
+            errs = []
+            for trainable in (False, True):  # leaves take the taped branch
+                pv = lift_params(params, trainable)
+                out = forward_graph(ad.constant(z[None]), pv, cfg, False)["output"].value
+                errs.append(np.sqrt(np.mean(np.abs(out - ref) ** 2)))
+            ratios.append(errs[0] / errs[1])
+        assert np.median(ratios) <= 1.25 and max(ratios) <= 1.6
+
     def test_chunk_deeper_than_slice_depth_rejected(self, rng):
         cfg = tiny_cfg(slice_depth=2)
         p = init_params(cfg, 0)
@@ -584,14 +621,12 @@ class TestHalves:
     """An untaped cell branch runs as two halves on two threads, same bits."""
 
     @staticmethod
-    def perturbed(cfg, rng, dtype=np.float32):
-        params = init_params(cfg, 2)
-        for name in params.trainable_names():
-            t = params.tensors[name]
-            t += rng.normal(0.0, 0.05, t.shape).astype(np.float32)
-        return params.astype(dtype)
+    def serial(monkeypatch, run):
+        """``run()`` with no BLAS thread setter, so every branch runs whole."""
+        with monkeypatch.context() as m:
+            m.setattr(network, "_blas_threads", lambda: None)
+            return run()
 
-    # the serial oracle lifts the parameters as leaves, which never split
     @pytest.mark.parametrize(
         "shape, window, dtype",
         [
@@ -601,13 +636,17 @@ class TestHalves:
             ((3, 13, 21), 8, np.float64),
         ],
     )
-    def test_forward_equals_serial_bitwise(self, rng, halves, shape, window, dtype):
+    def test_forward_equals_serial_bitwise(self, rng, halves, monkeypatch, shape, window, dtype):
         cfg = tiny_cfg(window=window, slice_depth=8)
-        params = self.perturbed(cfg, rng, dtype)
+        params = perturbed(cfg, rng, dtype)
         z = complex_chunk(rng, *shape, scale=1.0).astype(np.result_type(dtype, 1j))
-        serial = forward_graph(ad.constant(z[None]), lift_params(params, trainable=True), cfg, False)
+
+        def run():
+            return forward_graph(ad.constant(z[None]), lift_params(params), cfg, False)
+
+        serial = self.serial(monkeypatch, run)
         assert not halves.started
-        split = forward_graph(ad.constant(z[None]), lift_params(params), cfg, False)
+        split = run()
         assert halves.started
         for key in ("output", "pred2"):
             assert split[key].value.dtype == serial[key].value.dtype
@@ -616,19 +655,19 @@ class TestHalves:
         assert np.array_equal(out, serial["output"].value[0].astype(np.complex64))
 
     @pytest.mark.parametrize("shape", [(3, 8, 8, 12), (1, 8, 4, 4)])
-    def test_attention_cell_equals_serial_bitwise(self, rng, halves, shape):
+    def test_attention_cell_equals_serial_bitwise(self, rng, halves, monkeypatch, shape):
         cfg = tiny_cfg()
-        sub = self.perturbed(cfg, rng).subset("stage1.cell1")
+        sub = perturbed(cfg, rng).subset("stage1.cell1")
         grid = rng.normal(size=shape).astype(np.float32)
+        serial = self.serial(monkeypatch, lambda: attention_cell(grid, sub, cfg, mode="eval"))
+        assert not halves.started
         out = attention_cell(grid, sub, cfg, mode="eval").values
         assert halves.started
-        x = ad.constant(np.transpose(grid, (0, 2, 3, 1))[None])
-        serial = _cell(x, {k: ad.leaf(v) for k, v in sub.items()}, cfg, train=False)
-        assert np.array_equal(out, np.transpose(serial.value[0], (0, 3, 1, 2)))
+        assert np.array_equal(out, serial.values)
 
     def test_no_thread_outlives_a_forward(self, rng, halves, monkeypatch):
         cfg = tiny_cfg()
-        params = self.perturbed(cfg, rng)
+        params = perturbed(cfg, rng)
         z = complex_chunk(rng, 3, 16, 16)
         threads = threading.active_count()
         blas = halves.blas_get()
@@ -655,7 +694,7 @@ class TestHalves:
         # a hold that saved and restored the count on its own could read
         # another's 1 and restore it last
         cfg = tiny_cfg()
-        params = self.perturbed(cfg, rng)
+        params = perturbed(cfg, rng)
         z = complex_chunk(rng, 3, 16, 16)
         prior = halves.blas_get()
 
@@ -675,7 +714,7 @@ class TestHalves:
 
     def test_serial_without_a_blas_setter(self, rng, halves, monkeypatch):
         cfg = tiny_cfg()
-        params = self.perturbed(cfg, rng)
+        params = perturbed(cfg, rng)
         z = complex_chunk(rng, 3, 16, 16)
         split = forward(z, params, cfg).data
         assert halves.started
